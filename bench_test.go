@@ -22,6 +22,7 @@ import (
 
 	"after"
 	"after/internal/core"
+	"after/internal/dataset"
 	"after/internal/exp"
 	"after/internal/geom"
 	"after/internal/mwis"
@@ -294,7 +295,13 @@ func BenchmarkCOMURNetStep(b *testing.B) {
 // BenchmarkBuildStatic contrasts the endpoint-sort sweep converter against
 // the retained O(N²) brute-force reference on one crowded 500-user frame —
 // the asymptotic win that makes large sensitivity sweeps (Table VI's N=500
-// row) cheap.
+// row) cheap. The timik500/timik200 cases time the converter on the rooms
+// afterd serves (a Timik room generated as CreateRoom does, seeds 101 and
+// 201), and timik2000 on a room of serving's largest admitted size (seed
+// 301). Each op converts the first frame for the next target in turn:
+// every user of the room, or every 8th user at N=2000 so that computing
+// edges/op stays cheap. edges/op is the mean edge count over those
+// targets, so the density sits beside ns/op and does not depend on b.N.
 func BenchmarkBuildStatic(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	positions := make([]geom.Vec2, 500)
@@ -311,6 +318,54 @@ func BenchmarkBuildStatic(b *testing.B) {
 			occlusion.BuildStaticBrute(0, positions, occlusion.DefaultAvatarRadius)
 		}
 	})
+	for _, tc := range []struct {
+		name         string
+		users, steps int
+		seed         int64
+		stride       int
+	}{
+		{"timik500", 500, 40, 101, 1},
+		{"timik200", 200, 20, 201, 1},
+		{"timik2000", 2000, 20, 301, 8},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			room := timikServeRoom(b, tc.users, tc.steps, tc.seed)
+			frame := room.Traj.Pos[0]
+			targets := (len(frame) + tc.stride - 1) / tc.stride
+			edges := 0
+			for t := 0; t < targets; t++ {
+				edges += occlusion.BuildStatic(t*tc.stride, frame, room.AvatarRadius).EdgeCount()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				staticSink = occlusion.BuildStatic(i%targets*tc.stride, frame, room.AvatarRadius)
+			}
+			b.ReportMetric(float64(edges)/float64(targets), "edges/op")
+		})
+	}
+}
+
+// staticSink keeps the timed conversions observable to the compiler.
+var staticSink *occlusion.StaticGraph
+
+// timikServeRoom generates the Timik room afterd's CreateRoom builds for a
+// {"kind":"timik","users":users,"seed":seed} request with the given horizon:
+// the platform graph is 10× the room, clamped to [200, 3000].
+func timikServeRoom(b *testing.B, users, steps int, seed int64) *dataset.Room {
+	b.Helper()
+	platform := min(max(10*users, 200), 3000)
+	room, err := dataset.Generate(dataset.Config{
+		Kind:          dataset.Timik,
+		PlatformUsers: platform,
+		RoomUsers:     users,
+		T:             steps,
+		Seed:          seed,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return room
 }
 
 // BenchmarkBuildDOG measures the full trajectory→DOG conversion at paper

@@ -28,8 +28,11 @@ func NewArc(center, halfWidth float64) Arc {
 // converter's per-user primitive from Sec. III-B: the subtended half-angle
 // of a disk at distance d is asin(r/d), saturating to a full-circle arc when
 // the observer is inside the disk.
-func ArcOf(eye, p Vec2, r float64) Arc {
-	d := eye.Dist(p)
+func ArcOf(eye, p Vec2, r float64) Arc { return ArcAtDist(eye, p, r, eye.Dist(p)) }
+
+// ArcAtDist is ArcOf for a caller that already holds d = eye.Dist(p); the
+// occlusion converter records the distance too and computes it only once.
+func ArcAtDist(eye, p Vec2, r, d float64) Arc {
 	if d <= r {
 		return Arc{Center: 0, HalfWidth: math.Pi}
 	}

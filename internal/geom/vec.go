@@ -96,23 +96,41 @@ func (v Vec3) Flat() Vec2 { return Vec2{v.X, v.Z} }
 // FromFlat lifts a planar point into W at height y.
 func FromFlat(v Vec2, y float64) Vec3 { return Vec3{v.X, y, v.Z} }
 
+// twoPi is 2π rounded to float64, the modulus of every angle helper.
+const twoPi = 2 * math.Pi
+
 // NormalizeAngle maps any angle in radians into [0, 2π).
+//
+// For a in (−2π, 2π), math.Mod(a, 2π) is exactly a (the remainder of a
+// dividend smaller than the divisor is the dividend itself), so the fast
+// path skips the Mod call and returns the bit-identical result; every other
+// input, NaN and ±Inf included, falls through to the Mod formulation.
 func NormalizeAngle(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
+	if !(a > -twoPi && a < twoPi) {
+		a = math.Mod(a, twoPi)
+	}
 	if a < 0 {
-		a += 2 * math.Pi
+		a += twoPi
 	}
 	return a
 }
 
 // AngleDiff returns the signed smallest rotation from a to b, in (-π, π].
+//
+// As in NormalizeAngle, math.Mod is the identity when |b−a| < 2π — always
+// the case for two normalized angles or atan2 outputs — so it is only
+// called outside that range (and for NaN/±Inf), keeping the result
+// bit-identical to the Mod formulation.
 func AngleDiff(a, b float64) float64 {
-	d := math.Mod(b-a, 2*math.Pi)
+	d := b - a
+	if !(d > -twoPi && d < twoPi) {
+		d = math.Mod(d, twoPi)
+	}
 	switch {
 	case d > math.Pi:
-		d -= 2 * math.Pi
+		d -= twoPi
 	case d <= -math.Pi:
-		d += 2 * math.Pi
+		d += twoPi
 	}
 	return d
 }

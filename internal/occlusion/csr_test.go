@@ -110,9 +110,9 @@ func TestAdjacencyCSRTargetRowExcluded(t *testing.T) {
 	}
 }
 
-// TestAdjacencyCSRZeroCopy pins the tentpole's zero-copy contract: for
-// sweep-built graphs with at least one edge, the CSR column array must alias
-// the converter's flat neighbor backing array, not a copy.
+// TestAdjacencyCSRZeroCopy pins the zero-copy contract: for sweep-built
+// graphs with at least one edge, the CSR column array must alias the
+// graph's own column array (the one the converter wrote), not a copy.
 func TestAdjacencyCSRZeroCopy(t *testing.T) {
 	pos := []geom.Vec2{{}, {X: 2}, {X: 4}, {Z: 3}}
 	g := BuildStatic(0, pos, DefaultAvatarRadius)
@@ -120,11 +120,11 @@ func TestAdjacencyCSRZeroCopy(t *testing.T) {
 	if csr.NNZ() == 0 {
 		t.Fatal("scene unexpectedly edgeless")
 	}
-	if g.flatCol == nil {
-		t.Fatal("sweep converter did not retain its flat neighbor array")
+	if g.col == nil {
+		t.Fatal("sweep converter did not retain its column array")
 	}
-	if &csr.Col[0] != &g.flatCol[0] {
-		t.Error("CSR column array is a copy, not the zero-copy flat array")
+	if &csr.Col[0] != &g.col[0] {
+		t.Error("CSR column array is a copy, not the graph's own column array")
 	}
 	if csr != g.AdjacencyCSR() {
 		t.Error("AdjacencyCSR not memoized")

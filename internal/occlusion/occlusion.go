@@ -9,16 +9,20 @@
 // static occlusion graph exactly when their arcs overlap.
 //
 // BuildStatic finds the overlapping pairs with an endpoint-sort sweep over
-// the view circle in O(N log N + E) instead of the O(N²) all-pairs arc test
-// (retained as BuildStaticBrute, the reference implementation the property
-// tests compare against). At the paper's Table VI scale (N=500, T=100,
-// several targets) the sweep is what keeps DOG construction off the critical
-// path.
+// the view circle in O(N log N + E + N²/64) instead of the O(N²) all-pairs
+// arc test (retained as BuildStaticBrute, the reference implementation the
+// property and fuzz tests compare against). Serving converts one graph per
+// target per frame, so the sweep is on the request path: its transient
+// buffers come from a sync.Pool, and the graph it returns is CSR-native —
+// the row-pointer and column arrays the converter writes are the ones
+// Neighbors slices and AdjacencyCSR hands to the GNN kernels, owned by that
+// graph alone.
 package occlusion
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -56,6 +60,12 @@ const DefaultAvatarRadius = 0.25
 // StaticGraph is the occlusion graph O_t^v of one time instance for one
 // target user: a circular-arc graph over all other users plus the isolated
 // target node.
+//
+// The adjacency is stored natively in CSR form: the converter writes rowPtr
+// and col directly, Neighbors slices col, and AdjacencyCSR wraps the same
+// two arrays. Both arrays belong to this graph alone — never to a pooled
+// buffer — because callers keep graphs alive across frames (serving's
+// previous-frame pointer and the Δ-degree caches keyed on it).
 type StaticGraph struct {
 	// N is the total user count, including the target.
 	N int
@@ -67,23 +77,19 @@ type StaticGraph struct {
 	// Dist[w] is the distance from the target to w; Dist[Target] = 0.
 	Dist []float64
 
-	neighbors [][]int32
-	// flatCol is the single backing array the sweep converter scatters every
-	// neighbor list into (rows concatenated in ascending node order). When
-	// present it doubles as the CSR column array of the adjacency — the
-	// zero-copy hand-off AdjacencyCSR exploits. The brute-force converter
-	// leaves it nil and AdjacencyCSR concatenates instead.
-	flatCol []int32
+	// rowPtr (length N+1) and col (length 2·edges) are the symmetric
+	// adjacency: col[rowPtr[w]:rowPtr[w+1]] lists w's occlusion neighbors in
+	// ascending order. The target's row is empty and no row references it.
+	rowPtr []int32
+	col    []int32
 
 	// Memoized derived structures: a DOG frame is shared by every
 	// recommender evaluated on the same scene, and before memoization each
 	// of the 4+ GNN methods rebuilt the dense N×N adjacency every step.
-	adjOnce  sync.Once
-	adj      *tensor.Matrix
-	csrOnce  sync.Once
-	csr      *tensor.CSR
-	edgeOnce sync.Once
-	edges    int
+	adjOnce sync.Once
+	adj     *tensor.Matrix
+	csrOnce sync.Once
+	csr     *tensor.CSR
 }
 
 // newStaticGraph validates inputs and fills arcs and distances; the edge
@@ -97,19 +103,19 @@ func newStaticGraph(target int, positions []geom.Vec2, radius float64) *StaticGr
 		panic("occlusion: non-positive avatar radius")
 	}
 	g := &StaticGraph{
-		N:         n,
-		Target:    target,
-		Arcs:      make([]geom.Arc, n),
-		Dist:      make([]float64, n),
-		neighbors: make([][]int32, n),
+		N:      n,
+		Target: target,
+		Arcs:   make([]geom.Arc, n),
+		Dist:   make([]float64, n),
 	}
 	eye := positions[target]
 	for w := 0; w < n; w++ {
 		if w == target {
 			continue
 		}
-		g.Arcs[w] = geom.ArcOf(eye, positions[w], radius)
-		g.Dist[w] = eye.Dist(positions[w])
+		d := eye.Dist(positions[w])
+		g.Arcs[w] = geom.ArcAtDist(eye, positions[w], radius, d)
+		g.Dist[w] = d
 	}
 	return g
 }
@@ -121,16 +127,20 @@ func newStaticGraph(target int, positions []geom.Vec2, radius float64) *StaticGr
 // BuildStaticBrute on random rooms, wrap-around arcs included).
 func BuildStatic(target int, positions []geom.Vec2, radius float64) *StaticGraph {
 	g := newStaticGraph(target, positions, radius)
-	g.buildNeighborsSweep()
+	s := scratchPool.Get().(*sweepScratch)
+	g.buildSweep(s)
+	scratchPool.Put(s)
 	return g
 }
 
 // BuildStaticBrute is the original O(N²) all-pairs converter, retained as
 // the executable specification of the edge relation: the sweep must agree
-// with it bit-for-bit. It remains useful for tiny rooms and as the baseline
-// side of BenchmarkBuildStatic.
+// with it bit-for-bit. It shares no code with the sweep beyond the arcs
+// themselves, which is what makes it a useful oracle for the tests and the
+// baseline side of BenchmarkBuildStatic.
 func BuildStaticBrute(target int, positions []geom.Vec2, radius float64) *StaticGraph {
 	g := newStaticGraph(target, positions, radius)
+	rows := make([][]int32, g.N)
 	for i := 0; i < g.N; i++ {
 		if i == target {
 			continue
@@ -140,172 +150,196 @@ func BuildStaticBrute(target int, positions []geom.Vec2, radius float64) *Static
 				continue
 			}
 			if g.Arcs[i].Overlaps(g.Arcs[j]) {
-				g.neighbors[i] = append(g.neighbors[i], int32(j))
-				g.neighbors[j] = append(g.neighbors[j], int32(i))
+				rows[i] = append(rows[i], int32(j))
+				rows[j] = append(rows[j], int32(i))
 			}
 		}
+	}
+	g.rowPtr = make([]int32, g.N+1)
+	for w, ns := range rows {
+		g.col = append(g.col, ns...)
+		g.rowPtr[w+1] = int32(len(g.col))
 	}
 	return g
 }
 
 // sweepSlack inflates the candidate intervals of the sweep so that floating
 // rounding in angle normalization and the 1e-12 tolerance inside
-// geom.Arc.Overlaps can never hide a true edge from the candidate pass. The
-// exact Overlaps predicate then filters candidates, so the final edge set
-// matches the brute-force reference exactly.
+// geom.Arc.Overlaps can never hide a true edge from the candidate pass.
+// Candidates that are not edges by construction (see buildSweep) are then
+// confirmed with the exact Overlaps predicate, so the final edge set matches
+// the brute-force reference exactly.
 const sweepSlack = 1e-9
 
-// buildNeighborsSweep fills g.neighbors with the occlusion edges in
-// O(N log N + E): arcs become closed angular intervals, interval starts are
-// sorted once, and each arc scans only the starts that fall inside its own
-// (slack-inflated) interval. Two circular arcs intersect exactly when one's
-// start lies inside the other, so every true edge is enumerated at least
-// once; a symmetric membership test dedups pairs found from both sides, and
-// the exact Arc.Overlaps predicate confirms each candidate.
+// sweepKey is one proper arc's sort key: the IEEE-754 bit pattern of its
+// inflated start angle and its user index. Every start is a NormalizeAngle
+// result in [+0, 2π] (or NaN for a non-finite position), where the bit
+// pattern orders like the value and NaN sorts last.
+type sweepKey struct {
+	start uint64
+	idx   int32
+}
+
+// sweepScratch holds the converter's transient buffers. Conversions run on
+// every serving pass and every DOG frame, so the buffers are recycled
+// through scratchPool instead of being reallocated per call; nothing in
+// here is ever reachable from a returned StaticGraph.
+type sweepScratch struct {
+	full   []int32    // users with full arcs
+	keys   []sweepKey // proper arcs, sorted by (start, idx)
+	starts []float64  // sorted inflated starts, then the same +2π
+	order  []int32    // user at each sorted position, repeated
+	// adj is the adjacency as an N×⌈N/64⌉-word bit matrix. Edges found
+	// twice merge for free, and reading rows out word by word yields each
+	// row already in ascending order. setCSR clears the words it consumes,
+	// so adj is all-zero whenever the scratch is in the pool.
+	adj []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
+
+// resize returns buf with length n, reusing its backing array when it is
+// large enough. Reused contents are left as they were.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/4)
+	}
+	return buf[:n]
+}
+
+// buildSweep fills the graph's CSR adjacency with the occlusion edges in
+// O(N log N + E + N²/64): arcs become closed angular intervals, interval
+// starts are sorted once, and each arc scans only the starts that fall
+// inside its own (slack-inflated) interval. Two circular arcs intersect
+// exactly when one's start lies inside the other, so every true edge is
+// enumerated at least once; the bit matrix absorbs the pairs found from
+// both sides.
+//
+// Most candidates are edges by construction and skip the exact check. Let
+// arc i have centre c_i and half-width h_i, and let s_i = c_i − h_i − δ be
+// its inflated start (δ = sweepSlack). A candidate j found from i at forward
+// distance d = s_j − s_i ∈ [0, 2h_i + 2δ] (mod 2π) has, in exact arithmetic,
+// centre offset x = c_j − c_i = d + h_j − h_i, so d ≤ 2h_i gives
+// −h_i ≤ x ≤ h_i + h_j and the circular distance between the centres is at
+// most |x| ≤ h_i + h_j: the arcs overlap. The computed starts (and the
+// repeated starts + 2π) carry at most a few roundings of magnitude
+// ≤ ulp(4π)/2 ≈ 8.9e-16 each, so when the computed start of j is
+// ≤ s_i + 2h_i the true offset exceeds h_i + h_j by at most ~1e-14, and
+// Overlaps — which compares |AngleDiff| (two more roundings) against
+// h_i + h_j + 1e-12 — accepts with a margin of ~100×. Only the candidates
+// inside the rounding band (2h_i, 2h_i + 2δ] at the end of the inflated
+// interval run Overlaps.
 //
 // Full arcs (users standing within the avatar radius of the eye) cover the
 // whole circle and overlap everyone; they are linked directly, which also
 // handles co-located users at distance ≈ 0.
-func (g *StaticGraph) buildNeighborsSweep() {
+func (g *StaticGraph) buildSweep(s *sweepScratch) {
+	const twoPi = 2 * math.Pi
 	n := g.N
-	// Partition non-target users into full arcs and proper arcs.
-	full := make([]int32, 0, 4)
-	items := make([]int32, 0, n-1)
+	words := (n + 63) / 64
+	adj := resize(s.adj, n*words)
+	link := func(a, b int32) {
+		adj[int(a)*words+int(b>>6)] |= 1 << (b & 63)
+		adj[int(b)*words+int(a>>6)] |= 1 << (a & 63)
+	}
+	full := s.full[:0]
+	keys := s.keys[:0]
 	for w := 0; w < n; w++ {
 		if w == g.Target {
 			continue
 		}
-		if g.Arcs[w].Full() {
+		a := g.Arcs[w]
+		if a.Full() {
 			full = append(full, int32(w))
-		} else {
-			items = append(items, int32(w))
+			continue
 		}
+		start := geom.NormalizeAngle(a.Center - a.HalfWidth - sweepSlack)
+		keys = append(keys, sweepKey{start: math.Float64bits(start), idx: int32(w)})
 	}
-
-	// Confirmed edges accumulate as (a, b) pairs in one flat buffer; the
-	// adjacency is materialized afterwards in two linear passes. Growing a
-	// single buffer is far cheaper than growing N little per-node slices
-	// (the former allocation hotspot of the converter).
-	pairs := make([]int32, 0, 8*n)
 
 	// Full arcs overlap every other user (Arc.Overlaps short-circuits on
 	// Full). Link full×full and full×proper directly.
 	for i, f := range full {
 		for _, h := range full[i+1:] {
-			pairs = append(pairs, f, h)
+			link(f, h)
 		}
-		for _, w := range items {
-			pairs = append(pairs, f, w)
-		}
-	}
-
-	if len(items) > 1 {
-		// Inflated interval of arc w: [start[w], start[w]+width[w]] mod 2π.
-		start := make([]float64, n)
-		width := make([]float64, n)
-		for _, w := range items {
-			a := g.Arcs[w]
-			start[w] = geom.NormalizeAngle(a.Center - a.HalfWidth - sweepSlack)
-			width[w] = 2 * (a.HalfWidth + sweepSlack)
-		}
-		// member reports whether angle s lies in arc w's inflated interval,
-		// measured as the forward (ccw) distance from the interval start.
-		member := func(s float64, w int32) bool {
-			d := s - start[w]
-			if d < 0 {
-				d += 2 * math.Pi
-			}
-			return d <= width[w]
-		}
-		order := make([]int32, len(items))
-		copy(order, items)
-		slices.SortFunc(order, func(a, b int32) int {
-			if start[a] != start[b] {
-				if start[a] < start[b] {
-					return -1
-				}
-				return 1
-			}
-			return int(a - b)
-		})
-		// Doubling the sorted arrays turns the cyclic scan into a straight
-		// linear one (no modulo on the hot path).
-		m := len(order)
-		order2 := make([]int32, 2*m)
-		starts2 := make([]float64, 2*m)
-		for k, w := range order {
-			order2[k], order2[k+m] = w, w
-			starts2[k], starts2[k+m] = start[w], start[w]
-		}
-		for p, i := range order {
-			// Scan forward cyclically while starts stay inside i's interval.
-			// Starts are sorted, so the forward distance grows monotonically
-			// over one full cycle and the scan stops at the first miss.
-			si, wi := start[i], width[i]
-			arcI := g.Arcs[i]
-			for q := p + 1; q < p+m; q++ {
-				d := starts2[q] - si
-				if d < 0 {
-					d += 2 * math.Pi
-				}
-				if d > wi {
-					break
-				}
-				j := order2[q]
-				// Dedup pairs that each find the other: the lower index wins
-				// the right to emit.
-				if j < i && member(si, j) {
-					continue
-				}
-				if arcI.Overlaps(g.Arcs[j]) {
-					pairs = append(pairs, i, j)
-				}
-			}
+		for _, k := range keys {
+			link(f, k.idx)
 		}
 	}
 
-	// Materialize the adjacency from the pair buffer in CSR form, each list
-	// in canonical ascending order (what the brute-force nested loop
-	// produced), so downstream iteration is reproducible and the two
-	// converters are directly comparable. Pass 1 counts degrees, pass 2
-	// scatters the raw lists into one flat backing array, pass 3 transposes:
-	// visiting sources u in ascending order appends each u to its neighbors'
-	// lists already sorted — no per-list sort needed (the former profile
-	// hotspot).
-	deg := make([]int32, n)
-	for _, w := range pairs {
-		deg[w]++
+	// Spelled out rather than cmp.Or(cmp.Compare, cmp.Compare), which
+	// always evaluates both comparisons: that made an N=500 conversion ~15%
+	// slower (2-vCPU x86-64 VM, go1.24).
+	slices.SortFunc(keys, func(a, b sweepKey) int {
+		if a.start != b.start {
+			if a.start < b.start {
+				return -1
+			}
+			return 1
+		}
+		return int(a.idx - b.idx)
+	})
+	// Repeating the sorted starts one turn later turns the cyclic scan
+	// into a straight linear one (no modulo on the hot path).
+	m := len(keys)
+	starts := resize(s.starts, 2*m)
+	order := resize(s.order, 2*m)
+	for r, k := range keys {
+		starts[r] = math.Float64frombits(k.start)
+		starts[r+m] = starts[r] + twoPi
+		order[r], order[r+m] = k.idx, k.idx
 	}
-	entries := len(pairs) // each pair contributes one entry per endpoint
-	raw := make([]int32, entries)
-	cursor := make([]int32, n)
-	off := int32(0)
-	for w := 0; w < n; w++ {
-		cursor[w] = off
-		off += deg[w]
-	}
-	rawStart := make([]int32, n)
-	copy(rawStart, cursor)
-	for k := 0; k < len(pairs); k += 2 {
-		a, b := pairs[k], pairs[k+1]
-		raw[cursor[a]] = b
-		cursor[a]++
-		raw[cursor[b]] = a
-		cursor[b]++
-	}
-	flat := make([]int32, entries)
-	sorted := make([][]int32, n)
-	for w := 0; w < n; w++ {
-		base := rawStart[w]
-		sorted[w] = flat[base:base : base+deg[w]]
-	}
-	for u := int32(0); int(u) < n; u++ {
-		for _, w := range raw[rawStart[u]:cursor[u]] {
-			sorted[w] = append(sorted[w], u)
+	for p := 0; p < m; p++ {
+		i := order[p]
+		arcI := g.Arcs[i]
+		sure := starts[p] + 2*arcI.HalfWidth
+		limit := starts[p] + 2*(arcI.HalfWidth+sweepSlack)
+		q, end := p+1, p+m
+		for ; q < end && starts[q] <= sure; q++ {
+			link(i, order[q])
+		}
+		for ; q < end && starts[q] <= limit; q++ {
+			if j := order[q]; arcI.Overlaps(g.Arcs[j]) {
+				link(i, j)
+			}
 		}
 	}
-	g.neighbors = sorted
-	g.flatCol = flat
+	g.setCSR(adj, words)
+	s.full, s.keys, s.starts, s.order, s.adj = full, keys, starts, order, adj
+}
+
+// setCSR reads the bit matrix out into the graph's CSR arrays — each row in
+// canonical ascending order, what the brute-force nested loop produces — and
+// zeroes it for the next conversion. Only rowPtr and col are allocated;
+// they are the graph's.
+func (g *StaticGraph) setCSR(adj []uint64, words int) {
+	n := g.N
+	nnz := 0
+	for _, x := range adj {
+		nnz += bits.OnesCount64(x)
+	}
+	// One allocation backs both arrays.
+	csr := make([]int32, n+1+nnz)
+	rowPtr, col := csr[:n+1:n+1], csr[n+1:]
+	pos := 0
+	for w := 0; w < n; w++ {
+		rowPtr[w] = int32(pos)
+		row := adj[w*words : (w+1)*words]
+		for k, x := range row {
+			if x == 0 {
+				continue
+			}
+			row[k] = 0
+			base := int32(64 * k)
+			for ; x != 0; x &= x - 1 {
+				col[pos] = base + int32(bits.TrailingZeros64(x))
+				pos++
+			}
+		}
+	}
+	rowPtr[n] = int32(pos)
+	g.rowPtr, g.col = rowPtr, col
 }
 
 // Occludes reports whether users i and j overlap in the target's view (the
@@ -318,45 +352,25 @@ func (g *StaticGraph) Occludes(i, j int) bool {
 }
 
 // Neighbors returns the occlusion neighbors of w in ascending order. The
-// slice is owned by the graph; callers must not mutate it.
-func (g *StaticGraph) Neighbors(w int) []int32 { return g.neighbors[w] }
-
-// EdgeCount returns the number of occlusion edges (memoized).
-func (g *StaticGraph) EdgeCount() int {
-	g.edgeOnce.Do(func() {
-		total := 0
-		for _, ns := range g.neighbors {
-			total += len(ns)
-		}
-		g.edges = total / 2
-	})
-	return g.edges
+// slice is a capacity-capped window into the graph's CSR column array;
+// callers must not mutate it.
+func (g *StaticGraph) Neighbors(w int) []int32 {
+	lo, hi := g.rowPtr[w], g.rowPtr[w+1]
+	return g.col[lo:hi:hi]
 }
+
+// EdgeCount returns the number of occlusion edges.
+func (g *StaticGraph) EdgeCount() int { return len(g.col) / 2 }
 
 // AdjacencyCSR returns A_t as a symmetric implicit-ones CSR pattern, the
 // form every GNN path consumes: message passing is per-edge work, so the
-// sparse kernels never pay the O(N²) a densified adjacency costs. For
-// sweep-built graphs the column array is the converter's existing flat
-// neighbor array — a zero-copy hand-off; brute-built graphs concatenate
-// their per-node lists once. The CSR is memoized and shared by every caller
-// (several recommenders step the same frame), so it must be treated as
-// read-only; all kernels do.
+// sparse kernels never pay the O(N²) a densified adjacency costs. The
+// pattern wraps the graph's own rowPtr/col arrays without copying. It is
+// memoized and shared by every caller (several recommenders step the same
+// frame), so it must be treated as read-only; all kernels do.
 func (g *StaticGraph) AdjacencyCSR() *tensor.CSR {
 	g.csrOnce.Do(func() {
-		rowPtr := make([]int32, g.N+1)
-		total := 0
-		for w, ns := range g.neighbors {
-			total += len(ns)
-			rowPtr[w+1] = int32(total)
-		}
-		col := g.flatCol
-		if col == nil || len(col) != total {
-			col = make([]int32, 0, total)
-			for _, ns := range g.neighbors {
-				col = append(col, ns...)
-			}
-		}
-		g.csr = tensor.NewCSR(g.N, g.N, rowPtr, col, nil, true)
+		g.csr = tensor.NewCSR(g.N, g.N, g.rowPtr, g.col, nil, true)
 	})
 	return g.csr
 }
@@ -369,8 +383,8 @@ func (g *StaticGraph) AdjacencyCSR() *tensor.CSR {
 func (g *StaticGraph) AdjacencyMatrix() *tensor.Matrix {
 	g.adjOnce.Do(func() {
 		a := tensor.NewMatrix(g.N, g.N)
-		for i, ns := range g.neighbors {
-			for _, j := range ns {
+		for i := 0; i < g.N; i++ {
+			for _, j := range g.Neighbors(i) {
 				a.Set(i, int(j), 1)
 			}
 		}
@@ -460,7 +474,7 @@ func (g *StaticGraph) VisibleSetInto(dst, present, rendered []bool, interfaces [
 			continue
 		}
 		dst[w] = true
-		for _, u := range g.neighbors[w] {
+		for _, u := range g.Neighbors(w) {
 			if present[u] {
 				dst[w] = false
 				break
@@ -489,7 +503,7 @@ func (g *StaticGraph) PhysicalMask(interfaces []Interface) []float64 {
 		if !targetMR {
 			continue
 		}
-		for _, u := range g.neighbors[w] {
+		for _, u := range g.Neighbors(w) {
 			if int(u) != g.Target && interfaces[u] == MR {
 				mask[w] = 0
 				break

@@ -132,3 +132,41 @@ func clamp01(v float64) float64 {
 	v = math.Abs(v)
 	return v - math.Floor(v)
 }
+
+// TestSweepBandCandidates pins the rounding band of the sweep: pairs whose
+// arcs miss each other by less than the candidate slack are candidates that
+// must be rejected by the exact check, and pairs that touch within Overlaps'
+// 1e-12 tolerance must be kept. Each case places user 2 at a bearing just
+// past where user 1's arc ends and user 2's begins, from both sides of the
+// 0/2π seam.
+func TestSweepBandCandidates(t *testing.T) {
+	const d = 3.0
+	h := math.Asin(DefaultAvatarRadius / d)
+	for _, base := range []float64{1, -h / 2} {
+		for _, tc := range []struct {
+			gap  float64
+			edge bool
+		}{
+			{-1e-6, true},  // clearly overlapping: a sure candidate
+			{-1e-13, true}, // overlapping by less than a rounding band
+			{5e-13, true},  // apart, but within Overlaps' tolerance
+			{5e-11, false}, // apart, inside the sweep's slack
+			{1.5e-9, false},
+		} {
+			theta := base + 2*h + tc.gap
+			positions := []geom.Vec2{
+				{},
+				{X: d * math.Cos(base), Z: d * math.Sin(base)},
+				{X: d * math.Cos(theta), Z: d * math.Sin(theta)},
+			}
+			sweep := BuildStatic(0, positions, DefaultAvatarRadius)
+			brute := BuildStaticBrute(0, positions, DefaultAvatarRadius)
+			if !graphsEqual(t, sweep, brute) {
+				t.Fatalf("base %v gap %v: sweep and brute differ", base, tc.gap)
+			}
+			if got := sweep.EdgeCount() == 1; got != tc.edge {
+				t.Errorf("base %v gap %v: edge=%v, want %v", base, tc.gap, got, tc.edge)
+			}
+		}
+	}
+}
