@@ -433,13 +433,52 @@ func BenchmarkOcclusionGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkMWISExact measures the exact branch-and-bound solver on a
-// 200-node occlusion graph (COMURNet's inner loop).
+// BenchmarkMWISExact measures the exact branch-and-bound solver on two
+// occlusion graphs (COMURNet's inner loop): smm200 is a 200-node SMM frame
+// under the 60 000-node budget COMURNet gets for N > 100; comurnet60 is the
+// first frame of the scale-0.3 Table II test room (Timik, N=60) under the
+// 200 000-node budget it gets there. nodes/op is the number of search
+// nodes one solve explores.
 func BenchmarkMWISExact(b *testing.B) {
-	room, err := paperRoom()
-	if err != nil {
-		b.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		room   func() (*after.Room, error)
+		budget int
+	}{
+		{"smm200", paperRoom, 60_000},
+		{"comurnet60", table2TestRoom, 200_000},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			room, err := tc.room()
+			if err != nil {
+				b.Fatal(err)
+			}
+			prob := firstFrameProblem(room)
+			nodes := mwis.BranchAndBound(prob, tc.budget).Nodes
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mwisSink = mwis.BranchAndBound(prob, tc.budget)
+			}
+			b.ReportMetric(float64(nodes), "nodes/op")
+		})
 	}
+}
+
+// mwisSink keeps the timed solves observable to the compiler.
+var mwisSink mwis.Result
+
+// table2TestRoom generates the held-out Timik room Table II evaluates at
+// scale 0.3: 60 users of a 900-user platform over 30 steps.
+func table2TestRoom() (*after.Room, error) {
+	return after.GenerateRoom(after.DatasetConfig{
+		Kind: after.Timik, PlatformUsers: 900, RoomUsers: 60, T: 30, Seed: 1000 + 104729,
+	})
+}
+
+// firstFrameProblem is the MWIS instance of user 0's first frame in room,
+// weighted by user 0's preferences.
+func firstFrameProblem(room *after.Room) *mwis.Problem {
 	g := occlusion.BuildStatic(0, room.Traj.Pos[0], room.AvatarRadius)
 	weights := make([]float64, room.N)
 	for w := 0; w < room.N; w++ {
@@ -453,32 +492,17 @@ func BenchmarkMWISExact(b *testing.B) {
 			}
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mwis.BranchAndBound(prob, 60_000)
-	}
+	return prob
 }
 
 // BenchmarkMWISGreedy measures the greedy + local-search heuristic on the
-// same instance.
+// smm200 instance.
 func BenchmarkMWISGreedy(b *testing.B) {
 	room, err := paperRoom()
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := occlusion.BuildStatic(0, room.Traj.Pos[0], room.AvatarRadius)
-	weights := make([]float64, room.N)
-	for w := 0; w < room.N; w++ {
-		weights[w] = room.Pref(0, w)
-	}
-	prob := mwis.NewProblem(weights)
-	for i := 0; i < room.N; i++ {
-		for _, j := range g.Neighbors(i) {
-			if int(j) > i {
-				prob.AddEdge(i, int(j))
-			}
-		}
-	}
+	prob := firstFrameProblem(room)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mwis.LocalSearch(prob, mwis.Greedy(prob))

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -106,3 +108,46 @@ func TestSpecQuickVsFull(t *testing.T) {
 		t.Errorf("full spec = %+v", f)
 	}
 }
+
+// TestTable2QuickShape checks the paper's Table II shapes at quick scale:
+// POSHGNN earns the highest utility, COMURNet's hard constraint gives it
+// less view occlusion than every other baseline, and the paired t-test
+// against the strongest competitor is significant.
+func TestTable2QuickShape(t *testing.T) {
+	tab, err := Table2(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	posh, comur := tab.Row("POSHGNN"), tab.Row("COMURNet")
+	if posh == nil || comur == nil {
+		t.Fatalf("missing rows in\n%s", tab.Format())
+	}
+	for _, m := range methodOrder[1:] {
+		r := tab.Row(m)
+		if r == nil {
+			t.Fatalf("missing method %s", m)
+		}
+		if r.Utility >= posh.Utility {
+			t.Errorf("%s utility %.2f >= POSHGNN %.2f", m, r.Utility, posh.Utility)
+		}
+		if m != "COMURNet" && r.OcclusionRate <= comur.OcclusionRate {
+			t.Errorf("%s occlusion %.3f <= COMURNet %.3f", m, r.OcclusionRate, comur.OcclusionRate)
+		}
+	}
+	p := -1.0
+	for _, n := range tab.Notes {
+		if m := pValueNote.FindStringSubmatch(n); m != nil {
+			if p, err = strconv.ParseFloat(m[1], 64); err != nil {
+				t.Fatalf("note %q: %v", n, err)
+			}
+		}
+	}
+	if p < 0 {
+		t.Fatalf("no significance note in %q", tab.Notes)
+	}
+	if p >= 0.05 {
+		t.Errorf("POSHGNN vs strongest competitor p = %v, want < 0.05", p)
+	}
+}
+
+var pValueNote = regexp.MustCompile(`^POSHGNN vs \S+ \(strongest competitor\): paired t-test over \d+ steps, p = (\S+)$`)

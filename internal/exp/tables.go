@@ -7,7 +7,6 @@ import (
 	"after/internal/core"
 	"after/internal/dataset"
 	"after/internal/metrics"
-	"after/internal/obs/quality"
 	"after/internal/occlusion"
 	"after/internal/sim"
 	"after/internal/stats"
@@ -19,6 +18,35 @@ var methodOrder = []string{"POSHGNN", "Random", "Nearest", "MvAGC", "GraFrank", 
 // comparisonTable runs the full method comparison on one dataset kind —
 // the shared engine behind Tables II (Timik), III (SMM), and IV (Hub).
 func comparisonTable(name, title string, kind dataset.Kind, o Options) (*Table, error) {
+	recs, testRoom, targets, err := comparisonSetup(kind, o)
+	if err != nil {
+		return nil, err
+	}
+	episodes, dogs, err := sim.EvaluateEpisodes(recs, testRoom, targets, Beta)
+	if err != nil {
+		return nil, err
+	}
+	results := sim.Means(recs, episodes)
+	t := &Table{Name: name, Title: title}
+	for _, m := range methodOrder {
+		t.Rows = append(t.Rows, Row{Method: m, Result: results[m]})
+	}
+	t.Notes = append(t.Notes, fmt.Sprintf("room N=%d T=%d, %d targets, beta=%.2f",
+		testRoom.N, testRoom.T(), len(targets), Beta))
+	note, err := significanceNote(recs, results, episodes, testRoom, dogs)
+	if err != nil {
+		note = "significance test unavailable: " + err.Error()
+	}
+	if note != "" {
+		t.Notes = append(t.Notes, note)
+	}
+	return t, nil
+}
+
+// comparisonSetup trains the learned methods on one dataset kind and
+// returns every recommender of the comparison, in methodOrder, with the
+// held-out test room and the targets they are evaluated on.
+func comparisonSetup(kind dataset.Kind, o Options) ([]sim.Recommender, *dataset.Room, []int, error) {
 	o = o.withDefaults()
 	cfg := o.datasetConfig(kind)
 
@@ -27,29 +55,29 @@ func comparisonTable(name, title string, kind dataset.Kind, o Options) (*Table, 
 	// 80/20 split over sampled conference instances).
 	rooms, err := dataset.GenerateRooms(cfg, 3)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	trainRooms, valRoom := rooms[:2], rooms[2]
 	testCfg := cfg
 	testCfg.Seed += 104729
 	testRoom, err := dataset.Generate(testCfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	eps := episodesFrom(trainRooms, 3)
 	spec := o.spec()
 
 	posh, err := TrainPOSHGNN(core.Config{UseMIA: true, UseLWP: true}, eps, valRoom, spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	tgcn, err := trainRecurrent(baselines.NewTGCN, eps, valRoom, spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	dcrnn, err := trainRecurrent(baselines.NewDCRNN, eps, valRoom, spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
 	recs := []sim.Recommender{
@@ -62,33 +90,17 @@ func comparisonTable(name, title string, kind dataset.Kind, o Options) (*Table, 
 		tgcn,
 		baselines.COMURNet{Seed: o.Seed + 8, NodeBudget: comurBudget(testRoom.N)},
 	}
-	targets := sim.DefaultTargets(testRoom, 4)
-	results, err := sim.Evaluate(recs, testRoom, targets, Beta)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Name: name, Title: title}
-	for _, m := range methodOrder {
-		t.Rows = append(t.Rows, Row{Method: m, Result: results[m]})
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("room N=%d T=%d, %d targets, beta=%.2f",
-		testRoom.N, testRoom.T(), len(targets), Beta))
-	note, err := significanceNote(recs, results, testRoom, targets)
-	if err != nil {
-		note = "significance test unavailable: " + err.Error()
-	}
-	if note != "" {
-		t.Notes = append(t.Notes, note)
-	}
-	return t, nil
+	return recs, testRoom, sim.DefaultTargets(testRoom, 4), nil
 }
 
 // significanceNote reproduces the paper's statistical claim ("differences
 // ... statistically significant with a p-value ≤ ...") with a paired t-test
 // of POSHGNN against its strongest competitor over pooled per-step
-// utilities on identical scenes.
+// utilities on identical scenes. It scores the traces the table evaluation
+// recorded (episodes[r][i] is recs[r] on dogs[i]) rather than running any
+// episode again.
 func significanceNote(recs []sim.Recommender, results map[string]metrics.Result,
-	room *dataset.Room, targets []int) (string, error) {
+	episodes [][]sim.EpisodeResult, room *dataset.Room, dogs []*occlusion.DOG) (string, error) {
 	runnerUp := ""
 	for name, res := range results {
 		if name == "POSHGNN" {
@@ -101,24 +113,14 @@ func significanceNote(recs []sim.Recommender, results map[string]metrics.Result,
 	if runnerUp == "" {
 		return "", nil
 	}
-	// The traces below replay episodes the table evaluation already recorded;
-	// feeding them to the quality collector again would double-count every
-	// series, so quality pauses for the duration of the significance test.
-	prevQ := quality.SetEnabled(false)
-	defer quality.SetEnabled(prevQ)
-	byName := map[string]sim.Recommender{}
-	for _, r := range recs {
-		byName[r.Name()] = r
+	byName := map[string][]sim.EpisodeResult{}
+	for r, rec := range recs {
+		byName[rec.Name()] = episodes[r]
 	}
 	var a, b []float64
-	for _, target := range targets {
-		dog := occlusion.BuildDOG(target, room.Traj, room.AvatarRadius)
+	for i, dog := range dogs {
 		for name, dst := range map[string]*[]float64{"POSHGNN": &a, runnerUp: &b} {
-			_, trace, err := sim.RunEpisodeTrace(byName[name], room, dog, Beta)
-			if err != nil {
-				return "", err
-			}
-			series, err := metrics.StepSeries(room, dog, trace, Beta)
+			series, err := metrics.StepSeries(room, dog, byName[name][i].Rendered, Beta)
 			if err != nil {
 				return "", err
 			}

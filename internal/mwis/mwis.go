@@ -35,16 +35,29 @@ func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
 func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
-
 func (b bitset) andNot(o bitset) {
 	for i := range b {
 		b[i] &^= o[i]
 	}
+}
+
+// andCount returns |b ∩ o|.
+func (b bitset) andCount(o bitset) int {
+	total := 0
+	for k, w := range b {
+		total += bits.OnesCount64(w & o[k])
+	}
+	return total
+}
+
+// firstCommon returns the smallest element of b ∩ o, or -1 if there is none.
+func (b bitset) firstCommon(o bitset) int {
+	for k, w := range b {
+		if c := w & o[k]; c != 0 {
+			return k*64 + bits.TrailingZeros64(c)
+		}
+	}
+	return -1
 }
 
 func (b bitset) count() int {
@@ -137,13 +150,7 @@ func Greedy(p *Problem) []int {
 		best, bestScore := -1, math.Inf(-1)
 		remaining.forEach(func(i int) {
 			// Degree within the remaining graph.
-			deg := 0
-			p.adj[i].forEach(func(j int) {
-				if remaining.has(j) {
-					deg++
-				}
-			})
-			score := p.weights[i] / float64(deg+1)
+			score := p.weights[i] / float64(p.adj[i].andCount(remaining)+1)
 			if score > bestScore {
 				best, bestScore = i, score
 			}
@@ -175,7 +182,7 @@ func LocalSearch(p *Problem, init []int) []int {
 			if in.has(v) || p.weights[v] <= 0 {
 				continue
 			}
-			if !conflicts(p, in, v) {
+			if p.adj[v].andCount(in) == 0 {
 				in.set(v)
 				improved = true
 			}
@@ -183,22 +190,11 @@ func LocalSearch(p *Problem, init []int) []int {
 		// Swaps: replace one selected vertex with a heavier excluded vertex
 		// whose only conflict is that vertex.
 		for v := 0; v < p.n; v++ {
-			if in.has(v) {
+			if in.has(v) || p.adj[v].andCount(in) != 1 {
 				continue
 			}
-			blocker := -1
-			ok := true
-			p.adj[v].forEach(func(j int) {
-				if !in.has(j) {
-					return
-				}
-				if blocker == -1 {
-					blocker = j
-				} else if blocker != j {
-					ok = false
-				}
-			})
-			if ok && blocker >= 0 && p.weights[v] > p.weights[blocker]+1e-15 {
+			blocker := p.adj[v].firstCommon(in)
+			if p.weights[v] > p.weights[blocker]+1e-15 {
 				in.clear(blocker)
 				in.set(v)
 				improved = true
@@ -208,16 +204,6 @@ func LocalSearch(p *Problem, init []int) []int {
 	var out []int
 	in.forEach(func(i int) { out = append(out, i) })
 	return out
-}
-
-func conflicts(p *Problem, in bitset, v int) bool {
-	found := false
-	p.adj[v].forEach(func(j int) {
-		if in.has(j) {
-			found = true
-		}
-	})
-	return found
 }
 
 // Result carries an exact-solver outcome.
@@ -243,68 +229,107 @@ func BranchAndBound(p *Problem, maxNodes int) Result {
 	}
 	// Seed the incumbent with greedy + local search so pruning bites early.
 	incumbentSet := LocalSearch(p, Greedy(p))
-	incumbentW := p.SetWeight(incumbentSet)
-
-	remaining := newBitset(p.n)
+	words := (p.n + 63) / 64
+	s := &search{
+		p:         p,
+		words:     words,
+		maxNodes:  maxNodes,
+		exhausted: true,
+		bestSet:   incumbentSet,
+		bestW:     p.SetWeight(incumbentSet),
+		current:   make([]int, 0, p.n),
+		// Every branch removes its pick from the remaining set, so the
+		// recursion is at most n+1 levels deep: one scratch set per level.
+		slab: make([]uint64, (p.n+1)*words),
+	}
+	remaining := s.level(0)
 	for i := 0; i < p.n; i++ {
 		if p.weights[i] > 0 {
 			remaining.set(i)
 		}
 	}
-	var current []int
-	nodes := 0
-	exhausted := true
+	s.branch(0, 0)
+	sort.Ints(s.bestSet)
+	return Result{Set: s.bestSet, Weight: s.bestW, Optimal: s.exhausted, Nodes: s.nodes}
+}
 
-	var rec func(rem bitset, acc float64)
-	rec = func(rem bitset, acc float64) {
-		if !exhausted {
-			return
-		}
-		if nodes >= maxNodes {
-			exhausted = false
-			return
-		}
-		nodes++
-		// Bound: current weight plus everything still available.
-		ub := acc
-		rem.forEach(func(i int) { ub += p.weights[i] })
-		if ub <= incumbentW+1e-12 {
-			return
-		}
-		// Pick the remaining vertex with the highest degree (within rem) to
-		// branch on; break ties by weight.
-		pick, pickDeg, pickW := -1, -1, 0.0
-		rem.forEach(func(i int) {
-			deg := 0
-			p.adj[i].forEach(func(j int) {
-				if rem.has(j) {
-					deg++
-				}
-			})
-			if deg > pickDeg || (deg == pickDeg && p.weights[i] > pickW) {
-				pick, pickDeg, pickW = i, deg, p.weights[i]
-			}
-		})
-		if pick < 0 {
-			if acc > incumbentW {
-				incumbentW = acc
-				incumbentSet = append([]int(nil), current...)
-			}
-			return
-		}
-		// Branch 1: include pick.
-		inclRem := rem.clone()
-		inclRem.clear(pick)
-		inclRem.andNot(p.adj[pick])
-		current = append(current, pick)
-		rec(inclRem, acc+p.weights[pick])
-		current = current[:len(current)-1]
-		// Branch 2: exclude pick.
-		exclRem := rem.clone()
-		exclRem.clear(pick)
-		rec(exclRem, acc)
+// search is one BranchAndBound call's state. slab holds the remaining-vertex
+// set of every recursion level back to back; level d's set is owned by the
+// node currently at depth d.
+type search struct {
+	p         *Problem
+	words     int
+	slab      []uint64
+	current   []int
+	bestSet   []int
+	bestW     float64
+	nodes     int
+	maxNodes  int
+	exhausted bool
+}
+
+func (s *search) level(d int) bitset {
+	return bitset(s.slab[d*s.words : (d+1)*s.words : (d+1)*s.words])
+}
+
+// branch explores the node whose remaining vertices are level(depth) and
+// whose chosen vertices (s.current) weigh acc.
+func (s *search) branch(depth int, acc float64) {
+	if !s.exhausted {
+		return
 	}
-	rec(remaining, 0)
-	sort.Ints(incumbentSet)
-	return Result{Set: incumbentSet, Weight: incumbentW, Optimal: exhausted, Nodes: nodes}
+	if s.nodes >= s.maxNodes {
+		s.exhausted = false
+		return
+	}
+	s.nodes++
+	rem := s.level(depth)
+	w := s.p.weights
+	// Bound: current weight plus everything still available, summed in
+	// ascending vertex order.
+	ub := acc
+	for k, word := range rem {
+		for word != 0 {
+			ub += w[k*64+bits.TrailingZeros64(word)]
+			word &= word - 1
+		}
+	}
+	if ub <= s.bestW+1e-12 {
+		return
+	}
+	// Pick the remaining vertex with the highest degree (within rem) to
+	// branch on; break ties by weight, then by lowest index.
+	pick, pickDeg, pickW := -1, -1, 0.0
+	for k, word := range rem {
+		for word != 0 {
+			i := k*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			deg := s.p.adj[i].andCount(rem)
+			if deg > pickDeg || (deg == pickDeg && w[i] > pickW) {
+				pick, pickDeg, pickW = i, deg, w[i]
+			}
+		}
+	}
+	if pick < 0 {
+		if acc > s.bestW {
+			s.bestW = acc
+			s.bestSet = append([]int(nil), s.current...)
+		}
+		return
+	}
+	// Branch 1: include pick.
+	child := s.level(depth + 1)
+	adj := s.p.adj[pick]
+	for k := range child {
+		child[k] = rem[k] &^ adj[k]
+	}
+	child.clear(pick)
+	s.current = append(s.current, pick)
+	s.branch(depth+1, acc+w[pick])
+	s.current = s.current[:len(s.current)-1]
+	// Branch 2: exclude pick. The include subtree is finished with the
+	// child level, so it is rebuilt in place.
+	copy(child, rem)
+	child.clear(pick)
+	s.branch(depth+1, acc)
 }

@@ -98,7 +98,7 @@ func RunEpisodeTrace(rec sim.Recommender, room *dataset.Room, truth *occlusion.D
 	if quality.On() {
 		quality.Default().RecordEpisode(rec.Name(), room, truth, rendered, beta)
 	}
-	return sim.EpisodeResult{Recommender: rec.Name(), Target: truth.Target, Result: res}, rendered, nil
+	return sim.EpisodeResult{Recommender: rec.Name(), Target: truth.Target, Result: res, Rendered: rendered}, rendered, nil
 }
 
 // frameFor returns the raw positions claimed for output step t, consuming

@@ -116,7 +116,7 @@ func RunBatchedEpisodes(rec BatchRecommender, room *dataset.Room, dogs []*occlus
 		if quality.On() {
 			quality.Default().RecordEpisode(rec.Name(), room, dog, rendered[i], beta)
 		}
-		out[i] = EpisodeResult{Recommender: rec.Name(), Target: dog.Target, Result: res}
+		out[i] = EpisodeResult{Recommender: rec.Name(), Target: dog.Target, Result: res, Rendered: rendered[i]}
 		obsEpisodes.Inc()
 	}
 	return out, nil

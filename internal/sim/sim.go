@@ -56,11 +56,15 @@ func (f Func) StartEpisode(room *dataset.Room, target int) Stepper {
 	return f.Start(room, target)
 }
 
-// EpisodeResult pairs a recommender's metrics with its identity.
+// EpisodeResult pairs a recommender's metrics with its identity and the
+// rendering trace they score.
 type EpisodeResult struct {
 	Recommender string
 	Target      int
 	metrics.Result
+	// Rendered is the trace: Rendered[t][w] is true when w was displayed to
+	// the target at step t.
+	Rendered [][]bool
 }
 
 // RunEpisode drives rec through every frame of the target's DOG, timing each
@@ -126,21 +130,32 @@ func RunEpisodeTrace(rec Recommender, room *dataset.Room, dog *occlusion.DOG, be
 	if quality.On() {
 		quality.Default().RecordEpisode(rec.Name(), room, dog, rendered, beta)
 	}
-	return EpisodeResult{Recommender: rec.Name(), Target: dog.Target, Result: res}, rendered, nil
+	return EpisodeResult{Recommender: rec.Name(), Target: dog.Target, Result: res, Rendered: rendered}, rendered, nil
 }
 
 // Evaluate runs each recommender over the same targets in room and returns,
-// per recommender, the mean result across targets. Targets outside [0, N)
-// are rejected. The DOG for each target is built once and shared across
-// recommenders so everyone sees the identical scene.
+// per recommender, the mean result across targets: the Means of
+// EvaluateEpisodes.
+func Evaluate(recs []Recommender, room *dataset.Room, targets []int, beta float64) (map[string]metrics.Result, error) {
+	episodes, _, err := EvaluateEpisodes(recs, room, targets, beta)
+	if err != nil {
+		return nil, err
+	}
+	return Means(recs, episodes), nil
+}
+
+// EvaluateEpisodes runs each recommender over the same targets in room and
+// returns every episode, traces included: episodes[r][i] is recs[r] on
+// targets[i], scored on dogs[i]. Targets outside [0, N) are rejected. The
+// DOG for each target is built once and shared across recommenders so
+// everyone sees the identical scene.
 //
 // Episodes fan out over the parallel worker pool: every (recommender,
 // target) pair is an independent unit of work writing into its own result
-// slot, and the per-recommender means are folded sequentially afterwards in
-// input order. Recommenders therefore must hand out independent Steppers
-// from concurrent StartEpisode calls and must not derive episode randomness
-// from shared mutable RNG state — every built-in recommender seeds its
-// episode RNG from (base seed, target), which keeps results bit-identical
+// slot. Recommenders therefore must hand out independent Steppers from
+// concurrent StartEpisode calls and must not derive episode randomness from
+// shared mutable RNG state — every built-in recommender seeds its episode
+// RNG from (base seed, target), which keeps results and traces bit-identical
 // to a sequential run regardless of scheduling (see TestEvaluateDeterminism).
 // Only StepTime varies between runs; it measures wall-clock.
 //
@@ -148,16 +163,16 @@ func RunEpisodeTrace(rec Recommender, room *dataset.Room, dog *occlusion.DOG, be
 // fused RunBatchedEpisodes call over all targets instead of the per-target
 // fan-out. The batched forward pass is pinned output-identical to the
 // sequential one (float64 path, see internal/core's batch tests), so scores
-// do not depend on which route a recommender takes; only StepTime reflects
-// the amortization.
-func Evaluate(recs []Recommender, room *dataset.Room, targets []int, beta float64) (map[string]metrics.Result, error) {
+// and traces do not depend on which route a recommender takes; only
+// StepTime reflects the amortization.
+func EvaluateEpisodes(recs []Recommender, room *dataset.Room, targets []int, beta float64) ([][]EpisodeResult, []*occlusion.DOG, error) {
 	if len(targets) == 0 {
-		return nil, fmt.Errorf("sim: no targets")
+		return nil, nil, fmt.Errorf("sim: no targets")
 	}
 	dogs := make([]*occlusion.DOG, len(targets))
 	for _, target := range targets {
 		if target < 0 || target >= room.N {
-			return nil, fmt.Errorf("sim: target %d out of range", target)
+			return nil, nil, fmt.Errorf("sim: target %d out of range", target)
 		}
 	}
 	// Each BuildDOG already fans its frames out over the pool; distributing
@@ -165,47 +180,55 @@ func Evaluate(recs []Recommender, room *dataset.Room, targets []int, beta float6
 	parallel.ForEach(len(targets), func(i int) {
 		dogs[i] = occlusion.BuildDOG(targets[i], room.Traj, room.AvatarRadius)
 	})
-	// Flatten (recommender, target) pairs row-major so the lowest-index
-	// error reported by ForEachErr is exactly the error a sequential
-	// recs-outer/targets-inner loop would have hit first.
-	results := make([]metrics.Result, len(recs)*len(targets))
+	episodes := make([][]EpisodeResult, len(recs))
 	// Batch-capable recommenders run fused first — one StepTargets per frame
 	// over the whole target set — then the rest fan out per episode.
-	batched := make([]bool, len(recs))
 	for r, rec := range recs {
 		br, ok := rec.(BatchRecommender)
 		if !ok {
+			episodes[r] = make([]EpisodeResult, len(targets))
 			continue
 		}
 		ers, err := RunBatchedEpisodes(br, room, dogs, beta)
 		if err != nil {
-			return nil, fmt.Errorf("sim: %s batched: %w", rec.Name(), err)
+			return nil, nil, fmt.Errorf("sim: %s batched: %w", rec.Name(), err)
 		}
-		for i := range targets {
-			results[r*len(targets)+i] = ers[i].Result
-		}
-		batched[r] = true
+		episodes[r] = ers
 	}
-	err := parallel.ForEachErr(len(results), func(k int) error {
+	// Flatten (recommender, target) pairs row-major so the lowest-index
+	// error reported by ForEachErr is exactly the error a sequential
+	// recs-outer/targets-inner loop would have hit first.
+	err := parallel.ForEachErr(len(recs)*len(targets), func(k int) error {
 		r, i := k/len(targets), k%len(targets)
-		if batched[r] {
+		if _, ok := recs[r].(BatchRecommender); ok {
 			return nil
 		}
 		er, err := RunEpisode(recs[r], room, dogs[i], beta)
 		if err != nil {
 			return fmt.Errorf("sim: %s on target %d: %w", recs[r].Name(), targets[i], err)
 		}
-		results[k] = er.Result
+		episodes[r][i] = er
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	return episodes, dogs, nil
+}
+
+// Means folds EvaluateEpisodes output into each recommender's mean result
+// across its episodes, keyed by name and folded in target order.
+func Means(recs []Recommender, episodes [][]EpisodeResult) map[string]metrics.Result {
 	out := make(map[string]metrics.Result, len(recs))
+	var results []metrics.Result
 	for r, rec := range recs {
-		out[rec.Name()] = metrics.Mean(results[r*len(targets) : (r+1)*len(targets)])
+		results = results[:0]
+		for _, er := range episodes[r] {
+			results = append(results, er.Result)
+		}
+		out[rec.Name()] = metrics.Mean(results)
 	}
-	return out, nil
+	return out
 }
 
 // DefaultTargets picks up to k well-spread target users for evaluation: the
