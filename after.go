@@ -68,7 +68,8 @@ type (
 	ModelConfig = core.Config
 	// Episode names one training trajectory (a room and a target user).
 	Episode = core.Episode
-	// Session is POSHGNN's recurrent inference state for one episode.
+	// Session is one POSHGNN inference episode: a single-target view over
+	// the fused batched engine, carrying the recurrent state across steps.
 	Session = core.Session
 	// Recommender is any AFTER recommender runnable by the harness.
 	Recommender = sim.Recommender

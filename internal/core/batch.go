@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"after/internal/dataset"
+	"after/internal/nn"
 	"after/internal/obs"
 	"after/internal/obs/prof"
 	"after/internal/occlusion"
@@ -25,51 +26,20 @@ type BatchOptions struct {
 	Float32 bool
 }
 
-// batchState is one target's recurrent state inside a BatchSession — the
-// batched counterpart of Session's prevFrame/prevR/prevH, stored as raw
-// slices (float32 ones when the session runs the fast path) because the
-// batched forward never touches the autodiff tape.
-type batchState struct {
-	prevFrame *occlusion.StaticGraph
-	prevR     []float64
-	prevH     []float64
-	prevR32   []float32
-	prevH32   []float32
-	seq       *Session // dense-adjacency compat fallback, lazily created
-
-	// Degree caches for the Δ features: deg/two hold |N(w)| and
-	// Σ_{u∈N(w)}|N(u)| of degFrame, degPrev/twoPrev the same for
-	// degPrevFrame. All values are exact small integers in float64, so
-	// caching them across steps changes no bits — it only spares the
-	// previous frame's recomputation every step.
-	deg, two               []float64
-	degPrev, twoPrev       []float64
-	degFrame, degPrevFrame *occlusion.StaticGraph
-}
-
-// weights32 holds the one-time float32 copies of the model parameters used
-// by the fast path.
-type weights32 struct {
-	pdr1M1, pdr1M2 *tensor.Matrix32
-	pdr2M1, pdr2M2 *tensor.Matrix32
-	lwp1M1, lwp1M2 *tensor.Matrix32
-	lwp2M1, lwp2M2 *tensor.Matrix32
-	lwp3M1, lwp3M2 *tensor.Matrix32
-}
-
 // BatchSession runs POSHGNN inference for many targets of one room in a
 // single fused forward pass per step. The K targets' feature matrices are
 // stacked target-major into one N×(K·d) batch, every graph convolution runs
 // as one multi-column SpMM + blocked projection (tensor.SpMMBatchInto /
 // MatMulBlocksInto), and all intermediate activations live in pooled
-// scratch — no autodiff tape is built, which is where most of the per-step
-// time and allocation of the sequential Session goes at serving time.
+// scratch — no autodiff tape is built. It is the only inference engine:
+// StartEpisode is a one-column view over a BatchSession, and the autodiff
+// forward pass serves training only.
 //
-// The float64 path is bit-identical to stepping each target through its own
-// Session (per column block every kernel replicates the sequential
-// accumulation order; pinned by TestBatchStepMatchesSequential). Targets may
-// join at any step — state is tracked per target and missing targets simply
-// keep their previous state — so the serving micro-batcher can drive one
+// The float64 pass is bit-identical to the autodiff forward pass (per
+// column block every kernel replicates its accumulation order; pinned by
+// TestBatchStepMatchesSequential against a tape oracle). Targets may join
+// at any step — state is tracked per target and missing targets simply keep
+// their previous state — so the serving micro-batcher can drive one
 // BatchSession per room with whatever subset of targets each batch holds.
 //
 // A BatchSession is safe for concurrent StepTargets calls (an internal
@@ -78,16 +48,10 @@ type weights32 struct {
 type BatchSession struct {
 	model *POSHGNN
 	room  *dataset.Room
-	opt   BatchOptions
 
-	// iface is the interface-flag feature column (1 for MR users), computed
-	// once per session: it is target- and frame-independent.
-	iface []float64
-
-	mu     sync.Mutex
-	states map[int]*batchState
-	adjs   []*tensor.CSR // reused per-step graph list (len = batch K)
-	w32    *weights32    // nil until the Float32 path first runs
+	mu   sync.Mutex
+	eng  engine        // *pass[float64], or *pass[float32] under Float32
+	adjs []*tensor.CSR // reused per-step graph list (len = batch K)
 
 	// traceParent parents the next batch.step span (atomic: serving workers
 	// may set it concurrently with another worker's StepTargets). curSpan is
@@ -99,6 +63,13 @@ type BatchSession struct {
 	// profLabels carries the (room, rec) pprof label set phase switches key
 	// off (atomic for the same reason as traceParent; nil = unlabeled).
 	profLabels atomic.Pointer[prof.Labels]
+}
+
+// engine is the precision-specific half of a BatchSession. Both methods
+// run under the session mutex.
+type engine interface {
+	step(b *BatchSession, targets []int, frames []*occlusion.StaticGraph) [][]bool
+	probabilities(target int) []float64
 }
 
 // SetTraceParent parents subsequent StepTargets spans (batch.step and its
@@ -121,52 +92,13 @@ func (b *BatchSession) SetProfLabels(l *prof.Labels) {
 // room may be stepped through the returned session; per-target recurrent
 // state is created on first use.
 func (m *POSHGNN) StartBatchSession(room *dataset.Room, opt BatchOptions) *BatchSession {
-	b := &BatchSession{
-		model:  m,
-		room:   room,
-		opt:    opt,
-		iface:  make([]float64, room.N),
-		states: make(map[int]*batchState),
-	}
-	for w, ifc := range room.Interfaces {
-		if ifc == occlusion.MR {
-			b.iface[w] = 1
-		}
-	}
+	b := &BatchSession{model: m, room: room}
 	if opt.Float32 {
-		b.w32 = m.convertWeights32()
+		b.eng = newPass[float32](m, fast)
+	} else {
+		b.eng = newPass[float64](m, exact)
 	}
 	return b
-}
-
-func (m *POSHGNN) convertWeights32() *weights32 {
-	w := &weights32{
-		pdr1M1: tensor.ToMatrix32(m.pdr1.M1.Value), pdr1M2: tensor.ToMatrix32(m.pdr1.M2.Value),
-		pdr2M1: tensor.ToMatrix32(m.pdr2.M1.Value), pdr2M2: tensor.ToMatrix32(m.pdr2.M2.Value),
-	}
-	if m.cfg.UseLWP {
-		w.lwp1M1, w.lwp1M2 = tensor.ToMatrix32(m.lwp1.M1.Value), tensor.ToMatrix32(m.lwp1.M2.Value)
-		w.lwp2M1, w.lwp2M2 = tensor.ToMatrix32(m.lwp2.M1.Value), tensor.ToMatrix32(m.lwp2.M2.Value)
-		w.lwp3M1, w.lwp3M2 = tensor.ToMatrix32(m.lwp3.M1.Value), tensor.ToMatrix32(m.lwp3.M2.Value)
-	}
-	return w
-}
-
-// state returns (creating if needed) the recurrent state of one target.
-func (b *BatchSession) state(target int) *batchState {
-	st := b.states[target]
-	if st == nil {
-		st = &batchState{}
-		if b.opt.Float32 {
-			st.prevR32 = make([]float32, b.room.N)
-			st.prevH32 = make([]float32, b.room.N*b.model.cfg.Hidden)
-		} else {
-			st.prevR = make([]float64, b.room.N)
-			st.prevH = make([]float64, b.room.N*b.model.cfg.Hidden)
-		}
-		b.states[target] = st
-	}
-	return st
 }
 
 // StepTargets advances every listed target by one step in a single fused
@@ -194,25 +126,132 @@ func (b *BatchSession) StepTargets(t int, targets []int, frames []*occlusion.Sta
 	lbl := b.profLabels.Load()
 	lbl.Set(prof.PhaseBatch)
 	defer lbl.Set(prof.PhaseNone)
-	if b.model.denseAdj {
-		// Dense-adjacency compat: the bench/test knob has no batched kernel,
-		// so fall back to per-target sequential Sessions. Also serves as the
-		// reference implementation of the batched contract.
-		out := make([][]bool, len(targets))
-		for k, target := range targets {
-			st := b.state(target)
-			if st.seq == nil {
-				st.seq = b.model.StartEpisode(b.room, target)
-				st.seq.SetProfLabels(lbl)
-			}
-			out[k] = st.seq.Step(t, frames[k])
-		}
-		return out
+	return b.eng.step(b, targets, frames)
+}
+
+// precision holds what the two instantiations of the pass do differently.
+type precision[T tensor.Float] struct {
+	// addSigmoid sets dst[i] = σ(dst[i] + z[i]).
+	addSigmoid func(dst, z []T)
+	// reassociate computes a narrowing convolution's (dout < din) aggregate
+	// as A·(in·M2) instead of (A·in)·M2 — the same value under exact
+	// arithmetic, but the sparse gather then runs at the output width (1 or
+	// 8 columns instead of 8 or 16), roughly halving the model's SpMM
+	// traffic. Float64 never reassociates: its accumulation order is
+	// contractual.
+	reassociate bool
+}
+
+// exact is the float64 pass: math.Exp sigmoid, the autodiff order
+// everywhere. fast is the float32 pass, held to the tolerance contract.
+var (
+	exact = &precision[float64]{addSigmoid: addSigmoidExact}
+	fast  = &precision[float32]{addSigmoid: addSigmoidFast, reassociate: true}
+)
+
+func addSigmoidExact(dst, z []float64) {
+	for i, v := range z {
+		dst[i] = 1 / (1 + math.Exp(-(dst[i] + v)))
 	}
-	if b.opt.Float32 {
-		return b.step32(t, targets, frames)
+}
+
+func addSigmoidFast(dst, z []float32) {
+	for i, v := range z {
+		dst[i] = fastSigmoid32(dst[i] + v)
 	}
-	return b.step64(t, targets, frames)
+}
+
+// fastSigmoid32 evaluates 1/(1+e^{−z}) with a range-reduced degree-5
+// polynomial exponential instead of math.Exp. The polynomial's relative
+// error (≤ ~3e-6 over the reduced range |r| ≤ ln2/2) lands the sigmoid
+// within ~1e-6 of the math.Exp value — far inside the float32 path's 1e-3
+// probability tolerance — while skipping math.Exp's call and
+// high-precision reconstruction. Only the float32 path uses it: the float64
+// sigmoid stays on math.Exp, whose bits are contractual.
+func fastSigmoid32(z float32) float32 {
+	x := -float64(z)
+	// e^{±45} saturates the sigmoid past any float32 distinction.
+	if x > 45 {
+		return 0
+	}
+	if x < -45 {
+		return 1
+	}
+	k := math.Floor(x*1.4426950408889634 + 0.5) // round(x/ln2)
+	r := x - k*0.6931471805599453
+	p := 1 + r*(1+r*(0.5+r*(1.0/6+r*(1.0/24+r*(1.0/120)))))
+	e := p * math.Float64frombits(uint64(int64(k)+1023)<<52)
+	return float32(1 / (1 + e))
+}
+
+// convWeights is one graph convolution's (M1, M2) pair at precision T.
+type convWeights[T tensor.Float] struct{ m1, m2 *tensor.Dense[T] }
+
+func weightsOf[T tensor.Float](gc *nn.GraphConv) convWeights[T] {
+	return convWeights[T]{tensor.As[T](gc.M1.Value), tensor.As[T](gc.M2.Value)}
+}
+
+// pass is the batched forward pass at precision T. The float64 pass aliases
+// the model's weights; the float32 pass rounds them once, here.
+type pass[T tensor.Float] struct {
+	*precision[T]
+	pdr1, pdr2, lwp1, lwp2, lwp3 convWeights[T]
+	states                       map[int]*batchState[T]
+}
+
+func newPass[T tensor.Float](m *POSHGNN, prec *precision[T]) *pass[T] {
+	p := &pass[T]{
+		precision: prec,
+		pdr1:      weightsOf[T](m.pdr1),
+		pdr2:      weightsOf[T](m.pdr2),
+		states:    make(map[int]*batchState[T]),
+	}
+	if m.cfg.UseLWP {
+		p.lwp1, p.lwp2, p.lwp3 = weightsOf[T](m.lwp1), weightsOf[T](m.lwp2), weightsOf[T](m.lwp3)
+	}
+	return p
+}
+
+// batchState is one target's recurrent state inside a BatchSession — the
+// previous frame, r_{t−1} and h_{t−1}, stored as raw slices at the pass's
+// precision because the batched forward never touches the autodiff tape.
+type batchState[T tensor.Float] struct {
+	prevFrame *occlusion.StaticGraph
+	prevR     []T
+	prevH     []T
+
+	// Degree caches for the Δ features: deg/two hold |N(w)| and
+	// Σ_{u∈N(w)}|N(u)| of degFrame, degPrev/twoPrev the same for
+	// degPrevFrame. All values are exact small integers in float64, so
+	// caching them across steps changes no bits — it only spares the
+	// previous frame's recomputation every step.
+	deg, two               []float64
+	degPrev, twoPrev       []float64
+	degFrame, degPrevFrame *occlusion.StaticGraph
+}
+
+// state returns (creating if needed) the recurrent state of one target.
+func (p *pass[T]) state(target, n, hid int) *batchState[T] {
+	st := p.states[target]
+	if st == nil {
+		st = &batchState[T]{prevR: make([]T, n), prevH: make([]T, n*hid)}
+		p.states[target] = st
+	}
+	return st
+}
+
+// probabilities returns a copy of target's last r_t, nil before its first
+// step.
+func (p *pass[T]) probabilities(target int) []float64 {
+	st := p.states[target]
+	if st == nil || st.prevFrame == nil {
+		return nil
+	}
+	out := make([]float64, len(st.prevR))
+	for w, v := range st.prevR {
+		out[w] = float64(v)
+	}
+	return out
 }
 
 // elementwise activation selectors for the fused conv epilogues.
@@ -221,43 +260,53 @@ const (
 	actSigmoid
 )
 
-// convWide runs one graph convolution over the whole batch:
+// conv runs one graph convolution over the whole batch:
 // dst = act(in·M1 + (A_k·in)·M2 per column block k). The additive order —
 // the dense term fully materialized first, the aggregated term second, then
 // a single elementwise add — replicates GraphConv.ForwardSparse exactly, so
-// every column stays bit-identical to the sequential path.
+// every float64 column stays bit-identical to the autodiff path.
 //
 // lbl/ret refine the profiling attribution: the sparse gather runs under the
 // spmm phase label and the enclosing phase (ret) is restored afterwards, so
 // flamegraphs separate SpMM bandwidth from the dense projections.
-func convWide(dst, in *tensor.Matrix, adjs []*tensor.CSR, m1, m2 *tensor.Matrix, act int, lbl *prof.Labels, ret prof.Phase) {
-	ws := tensor.Scratch()
+func (p *pass[T]) conv(dst, in *tensor.Dense[T], adjs []*tensor.CSR, w convWeights[T], act int, lbl *prof.Labels, ret prof.Phase) {
+	ws := tensor.Scratch[T]()
 	k := len(adjs)
-	tensor.MatMulBlocksInto(dst, in, m1, k)
-	msg := ws.Get(in.Rows, in.Cols)
-	lbl.Set(prof.PhaseSpMM)
-	tensor.SpMMBatchInto(msg, adjs, in)
-	lbl.Set(ret)
+	din, dout := w.m2.Rows, w.m2.Cols
+	tensor.MatMulBlocksInto(dst, in, w.m1, k)
 	agg := ws.Get(dst.Rows, dst.Cols)
-	tensor.MatMulBlocksInto(agg, msg, m2, k)
-	ws.Put(msg)
+	if p.reassociate && dout < din {
+		hm := ws.Get(in.Rows, k*dout)
+		tensor.MatMulBlocksInto(hm, in, w.m2, k)
+		lbl.Set(prof.PhaseSpMM)
+		tensor.SpMMBatchInto(agg, adjs, hm)
+		lbl.Set(ret)
+		ws.Put(hm)
+	} else {
+		msg := ws.Get(in.Rows, in.Cols)
+		lbl.Set(prof.PhaseSpMM)
+		tensor.SpMMBatchInto(msg, adjs, in)
+		lbl.Set(ret)
+		tensor.MatMulBlocksInto(agg, msg, w.m2, k)
+		ws.Put(msg)
+	}
 	switch act {
 	case actReLU:
 		tensor.AddReLUInto(dst.Data, agg.Data)
 	case actSigmoid:
-		for i, v := range agg.Data {
-			dst.Data[i] = 1 / (1 + math.Exp(-(dst.Data[i] + v)))
-		}
+		p.addSigmoid(dst.Data, agg.Data)
 	}
 	ws.Put(agg)
 }
 
-// step64 is the bit-exact float64 batched forward pass.
-func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGraph) [][]bool {
+// step is the fused forward pass: MIA → PDR → LWP → preservation gate →
+// decode for every column. Products feeding a sum are written T(a*b) so the
+// compiler cannot fuse them (see internal/tensor/batch.go).
+func (p *pass[T]) step(b *BatchSession, targets []int, frames []*occlusion.StaticGraph) [][]bool {
 	m, room := b.model, b.room
 	n, bk, hid := room.N, len(targets), m.cfg.Hidden
 	useLWP := m.cfg.UseLWP
-	ws := tensor.Scratch()
+	ws := tensor.Scratch[T]()
 	lbl := b.profLabels.Load()
 
 	spMIA := obs.BeginChild("mia", b.curSpan)
@@ -268,15 +317,15 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 	adjs := b.adjs[:bk]
 	x := ws.Get(n, bk*featureDim)
 	mask := ws.Get(n, bk)
-	prevR := ws.Get(n, bk)
-	var delta, prevH *tensor.Matrix
+	var delta, prevH, prevR *tensor.Dense[T]
 	if useLWP {
 		delta = ws.Get(n, bk*deltaDim)
 		prevH = ws.Get(n, bk*hid)
+		prevR = ws.Get(n, bk)
 	}
 	for k, target := range targets {
-		st := b.state(target)
-		b.fillColumns(k, bk, frames[k], st, x, mask, prevR, delta, prevH)
+		st := p.state(target, n, hid)
+		p.fillColumns(b, k, bk, frames[k], st, x, mask, prevR, delta, prevH)
 		adjs[k] = frames[k].AdjacencyCSR()
 	}
 	spMIA.End()
@@ -284,9 +333,9 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 	spPDR := obs.BeginChild("pdr", b.curSpan)
 	lbl.Set(prof.PhasePDR)
 	h := ws.Get(n, bk*hid)
-	convWide(h, x, adjs, m.pdr1.M1.Value, m.pdr1.M2.Value, actReLU, lbl, prof.PhasePDR)
+	p.conv(h, x, adjs, p.pdr1, actReLU, lbl, prof.PhasePDR)
 	rt := ws.Get(n, bk)
-	convWide(rt, h, adjs, m.pdr2.M1.Value, m.pdr2.M2.Value, actSigmoid, lbl, prof.PhasePDR)
+	p.conv(rt, h, adjs, p.pdr2, actSigmoid, lbl, prof.PhasePDR)
 	spPDR.End()
 
 	r := ws.Get(n, bk)
@@ -306,28 +355,31 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 			row := lwpIn.Data[i*lwpIn.Cols : (i+1)*lwpIn.Cols]
 			for k := 0; k < bk; k++ {
 				o := k * lwpWidth
-				copy(row[o:o+featureDim], x.Data[i*x.Cols+k*featureDim:i*x.Cols+(k+1)*featureDim])
-				copy(row[o+featureDim:o+featureDim+deltaDim], delta.Data[i*delta.Cols+k*deltaDim:i*delta.Cols+(k+1)*deltaDim])
-				copy(row[o+featureDim+deltaDim:o+featureDim+deltaDim+hid], prevH.Data[i*prevH.Cols+k*hid:i*prevH.Cols+(k+1)*hid])
+				copy(row[o:o+featureDim], x.Data[i*x.Cols+k*featureDim:][:featureDim])
+				copy(row[o+featureDim:o+featureDim+deltaDim], delta.Data[i*delta.Cols+k*deltaDim:][:deltaDim])
+				copy(row[o+featureDim+deltaDim:o+lwpWidth-1], prevH.Data[i*prevH.Cols+k*hid:][:hid])
 				row[o+lwpWidth-1] = prevR.Data[i*bk+k]
 			}
 		}
 		z1 := ws.Get(n, bk*hid)
-		convWide(z1, lwpIn, adjs, m.lwp1.M1.Value, m.lwp1.M2.Value, actReLU, lbl, prof.PhaseLWP)
+		p.conv(z1, lwpIn, adjs, p.lwp1, actReLU, lbl, prof.PhaseLWP)
 		z2 := ws.Get(n, bk*hid)
-		convWide(z2, z1, adjs, m.lwp2.M1.Value, m.lwp2.M2.Value, actReLU, lbl, prof.PhaseLWP)
+		p.conv(z2, z1, adjs, p.lwp2, actReLU, lbl, prof.PhaseLWP)
 		sigma := ws.Get(n, bk)
-		convWide(sigma, z2, adjs, m.lwp3.M1.Value, m.lwp3.M2.Value, actSigmoid, lbl, prof.PhaseLWP)
-		// Preservation gate, in the sequential scalar order:
+		p.conv(sigma, z2, adjs, p.lwp3, actSigmoid, lbl, prof.PhaseLWP)
+		// Preservation gate, in the autodiff scalar order:
 		// r = m ⊗ [(1−σ)⊗r̃ + σ⊗r_{t−1}].
 		for i, mv := range mask.Data {
 			s := sigma.Data[i]
-			r.Data[i] = mv * ((1-s)*rt.Data[i] + s*prevR.Data[i])
+			r.Data[i] = mv * (T((1-s)*rt.Data[i]) + T(s*prevR.Data[i]))
 		}
 		ws.Put(lwpIn)
 		ws.Put(z1)
 		ws.Put(z2)
 		ws.Put(sigma)
+		ws.Put(delta)
+		ws.Put(prevH)
+		ws.Put(prevR)
 		spLWP.End()
 	}
 
@@ -335,96 +387,92 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 	spDecode := obs.BeginChild("decode", b.curSpan)
 	lbl.Set(prof.PhaseDecode)
 	out := make([][]bool, bk)
-	col := ws.Get(n, 1)
+	col := tensor.Scratch[float64]().Get(n, 1)
 	for k, target := range targets {
-		st := b.state(target)
+		st := p.states[target]
 		st.prevFrame = frames[k]
 		for w := 0; w < n; w++ {
 			st.prevR[w] = r.Data[w*bk+k]
-			col.Data[w] = r.Data[w*bk+k]
-			copy(st.prevH[w*hid:(w+1)*hid], h.Data[w*h.Cols+k*hid:w*h.Cols+(k+1)*hid])
+			col.Data[w] = float64(r.Data[w*bk+k])
+			copy(st.prevH[w*hid:(w+1)*hid], h.Data[w*h.Cols+k*hid:][:hid])
 		}
-		out[k] = b.decode(col, frames[k], target)
+		out[k] = m.decode(col, frames[k], target)
 	}
-	ws.Put(col)
+	tensor.Scratch[float64]().Put(col)
 	spDecode.End()
 
 	ws.Put(x)
 	ws.Put(mask)
-	ws.Put(prevR)
-	if useLWP {
-		ws.Put(delta)
-		ws.Put(prevH)
-	}
 	ws.Put(h)
 	ws.Put(rt)
 	ws.Put(r)
-	_ = t
 	return out
 }
 
 // fillColumns writes one target's features into column block k of the wide
-// matrices, replicating MIA.Aggregate (and fillDelta, via fillDeltaColumn)
-// value for value: the target row is all-zero with mask 0, distance is
-// scaled by the room diagonal, the physical mask prunes MR-occluded users
-// for an MR target, and the blocklist zeroes its entries.
-func (b *BatchSession) fillColumns(k, bk int, frame *occlusion.StaticGraph, st *batchState, x, mask, prevR, delta, prevH *tensor.Matrix) {
+// matrices, replicating MIA.Aggregate (and fillDelta) value for value: the
+// target row is all-zero with mask 0, distance is scaled by the room
+// diagonal, the physical mask prunes MR-occluded users for an MR target, and
+// the blocklist zeroes its entries. Features are computed in float64 and
+// rounded once on store. delta, prevH and prevR are nil without LWP.
+func (p *pass[T]) fillColumns(b *BatchSession, k, bk int, frame *occlusion.StaticGraph, st *batchState[T], x, mask, prevR, delta, prevH *tensor.Dense[T]) {
 	room, mia := b.room, &b.model.mia
 	n := room.N
 	target := frame.Target
 	roomDiag := math.Sqrt2 * 10
 	targetMR := mia.Enabled && room.Interfaces[target] == occlusion.MR
+	for w := 0; w < n; w++ {
+		xw := x.Data[w*x.Cols+k*featureDim:][:featureDim]
+		if w == target {
+			clear(xw)
+			mask.Data[w*bk+k] = 0
+			continue
+		}
+		xw[0] = T(room.Pref(target, w))
+		xw[1] = T(room.Social(target, w))
+		xw[2] = T(math.Min(1, frame.Dist[w]/roomDiag))
+		xw[3] = 0
+		if room.Interfaces[w] == occlusion.MR {
+			xw[3] = 1
+		}
+		mk := T(1)
+		if targetMR {
+			// Inlined occlusion.PhysicalMask: an MR target loses sight of
+			// any user occluded by another physically present MR user.
+			for _, u := range frame.Neighbors(w) {
+				if int(u) != target && room.Interfaces[u] == occlusion.MR {
+					mk = 0
+					break
+				}
+			}
+		}
+		if mia.Blocklist != nil && mia.Blocklist[w] {
+			mk = 0
+		}
+		mask.Data[w*bk+k] = mk
+	}
+	if delta == nil {
+		return
+	}
+	// Δ_t: zero when MIA is disabled, matching the autodiff path's untouched
+	// zero matrix.
+	var deg, two, degPrev, twoPrev []float64
+	if mia.Enabled {
+		deg, two, degPrev, twoPrev = st.deltaDegrees(frame)
+	}
+	scale := 1 / float64(n)
 	hid := b.model.cfg.Hidden
 	for w := 0; w < n; w++ {
-		xo := w*x.Cols + k*featureDim
-		if w == target {
-			x.Data[xo], x.Data[xo+1], x.Data[xo+2], x.Data[xo+3] = 0, 0, 0, 0
-			mask.Data[w*bk+k] = 0
+		dw := delta.Data[w*delta.Cols+k*deltaDim:][:deltaDim]
+		if mia.Enabled {
+			dw[0] = 1
+			dw[1] = T((deg[w] - degPrev[w]) * scale)
+			dw[2] = T((two[w] - twoPrev[w]) * scale)
 		} else {
-			p := room.Pref(target, w)
-			s := room.Social(target, w)
-			x.Data[xo] = p
-			x.Data[xo+1] = s
-			x.Data[xo+2] = math.Min(1, frame.Dist[w]/roomDiag)
-			x.Data[xo+3] = b.iface[w]
-			mk := 1.0
-			if targetMR {
-				// Inlined occlusion.PhysicalMask: an MR target loses sight of
-				// any user occluded by another physically present MR user.
-				for _, u := range frame.Neighbors(w) {
-					if int(u) != target && room.Interfaces[u] == occlusion.MR {
-						mk = 0
-						break
-					}
-				}
-			}
-			if mia.Blocklist != nil && mia.Blocklist[w] {
-				mk = 0
-			}
-			mask.Data[w*bk+k] = mk
+			clear(dw)
 		}
-		if prevR != nil {
-			if st.prevR != nil {
-				prevR.Data[w*bk+k] = st.prevR[w]
-			} else {
-				prevR.Data[w*bk+k] = 0
-			}
-		}
-	}
-	if delta != nil {
-		b.fillDeltaColumn(delta, k, bk, frame, st)
-	}
-	if prevH != nil {
-		for w := 0; w < n; w++ {
-			dst := prevH.Data[w*prevH.Cols+k*hid : w*prevH.Cols+(k+1)*hid]
-			if st.prevH != nil {
-				copy(dst, st.prevH[w*hid:(w+1)*hid])
-			} else {
-				for j := range dst {
-					dst[j] = 0
-				}
-			}
-		}
+		prevR.Data[w*bk+k] = st.prevR[w]
+		copy(prevH.Data[w*prevH.Cols+k*hid:][:hid], st.prevH[w*hid:(w+1)*hid])
 	}
 }
 
@@ -451,8 +499,8 @@ func degTwoInto(frame *occlusion.StaticGraph, deg, two []float64) {
 // sums are computed once, when it is current). The returned slices alias the
 // cache and are valid until the target's next step. Duplicate columns for the
 // same target within one batch see identical sums.
-func (b *BatchSession) deltaDegrees(st *batchState, frame *occlusion.StaticGraph) (deg, two, degPrev, twoPrev []float64) {
-	n := b.room.N
+func (st *batchState[T]) deltaDegrees(frame *occlusion.StaticGraph) (deg, two, degPrev, twoPrev []float64) {
+	n := frame.N
 	if st.deg == nil {
 		st.deg, st.two = make([]float64, n), make([]float64, n)
 		st.degPrev, st.twoPrev = make([]float64, n), make([]float64, n)
@@ -467,9 +515,8 @@ func (b *BatchSession) deltaDegrees(st *batchState, frame *occlusion.StaticGraph
 	case st.prevFrame != nil:
 		degTwoInto(st.prevFrame, st.degPrev, st.twoPrev)
 	default:
-		for w := range st.degPrev {
-			st.degPrev[w], st.twoPrev[w] = 0, 0
-		}
+		clear(st.degPrev)
+		clear(st.twoPrev)
 	}
 	st.degPrevFrame = st.prevFrame
 	degTwoInto(frame, st.deg, st.two)
@@ -477,325 +524,67 @@ func (b *BatchSession) deltaDegrees(st *batchState, frame *occlusion.StaticGraph
 	return st.deg, st.two, st.degPrev, st.twoPrev
 }
 
-// fillDeltaColumn is fillDelta scattered into column block k of the wide Δ
-// matrix. When MIA is disabled the block is zeroed, matching the sequential
-// path's untouched zero matrix.
-func (b *BatchSession) fillDeltaColumn(delta *tensor.Matrix, k, bk int, frame *occlusion.StaticGraph, st *batchState) {
-	n := frame.N
-	if !b.model.mia.Enabled {
-		for w := 0; w < n; w++ {
-			o := w*delta.Cols + k*deltaDim
-			delta.Data[o], delta.Data[o+1], delta.Data[o+2] = 0, 0, 0
-		}
-		return
+// decode turns one target's probability column into the rendered set:
+// greedy de-occlusion by default, plain thresholding under RawDecode, a
+// non-positive budget meaning unlimited on both paths (see the regression
+// test TestRawDecodeBudgetZeroMeansUnlimited).
+func (m *POSHGNN) decode(r *tensor.Matrix, frame *occlusion.StaticGraph, target int) []bool {
+	cfg := &m.cfg
+	if !cfg.RawDecode {
+		return decodeRecommendation(r, frame, target, cfg.Threshold, cfg.MaxRender)
 	}
-	deg, two, degPrev, twoPrev := b.deltaDegrees(st, frame)
-	scale := 1 / float64(n)
-	for w := 0; w < n; w++ {
-		o := w*delta.Cols + k*deltaDim
-		delta.Data[o] = 1
-		delta.Data[o+1] = (deg[w] - degPrev[w]) * scale
-		delta.Data[o+2] = (two[w] - twoPrev[w]) * scale
-	}
-}
-
-// decode turns one target's probability column into the rendered set with
-// the same semantics as Session.Step: greedy de-occlusion by default, plain
-// thresholding under RawDecode, non-positive budget meaning unlimited.
-func (b *BatchSession) decode(r *tensor.Matrix, frame *occlusion.StaticGraph, target int) []bool {
-	cfg := &b.model.cfg
-	if cfg.RawDecode {
-		rendered := make([]bool, b.room.N)
-		budget := cfg.MaxRender
-		admitted := 0
-		for w := 0; w < b.room.N; w++ {
-			if w == target {
-				continue
-			}
-			if budget > 0 && admitted >= budget {
-				break
-			}
-			if r.Data[w] >= cfg.Threshold {
-				rendered[w] = true
-				admitted++
-			}
-		}
-		return rendered
-	}
-	return decodeRecommendation(r, frame, target, cfg.Threshold, cfg.MaxRender)
-}
-
-// step32 is the float32 fast path: identical structure to step64, single
-// precision accumulation. The sigmoid still evaluates math.Exp in float64
-// (Go has no float32 exp) — only storage and the mat-mul/SpMM accumulators
-// are f32, which is where the bandwidth is.
-func (b *BatchSession) step32(t int, targets []int, frames []*occlusion.StaticGraph) [][]bool {
-	m, room := b.model, b.room
-	n, bk, hid := room.N, len(targets), m.cfg.Hidden
-	useLWP := m.cfg.UseLWP
-	ws := tensor.Scratch32()
-	lbl := b.profLabels.Load()
-
-	spMIA := obs.BeginChild("mia", b.curSpan)
-	lbl.Set(prof.PhaseMIA)
-	if cap(b.adjs) < bk {
-		b.adjs = make([]*tensor.CSR, bk)
-	}
-	adjs := b.adjs[:bk]
-	x := ws.Get(n, bk*featureDim)
-	mask := ws.Get(n, bk)
-	prevR := ws.Get(n, bk)
-	var delta, prevH *tensor.Matrix32
-	if useLWP {
-		delta = ws.Get(n, bk*deltaDim)
-		prevH = ws.Get(n, bk*hid)
-	}
-	for k, target := range targets {
-		st := b.state(target)
-		b.fillColumns32(k, bk, frames[k], st, x, mask, prevR, delta, prevH)
-		adjs[k] = frames[k].AdjacencyCSR()
-	}
-	spMIA.End()
-
-	spPDR := obs.BeginChild("pdr", b.curSpan)
-	lbl.Set(prof.PhasePDR)
-	h := ws.Get(n, bk*hid)
-	convWide32(h, x, adjs, b.w32.pdr1M1, b.w32.pdr1M2, actReLU, lbl, prof.PhasePDR)
-	rt := ws.Get(n, bk)
-	convWide32(rt, h, adjs, b.w32.pdr2M1, b.w32.pdr2M2, actSigmoid, lbl, prof.PhasePDR)
-	spPDR.End()
-
-	r := ws.Get(n, bk)
-	if !useLWP {
-		lbl.Set(prof.PhaseBatch)
-		for i, mv := range mask.Data {
-			r.Data[i] = mv * rt.Data[i]
-		}
-	} else {
-		spLWP := obs.BeginChild("lwp", b.curSpan)
-		lbl.Set(prof.PhaseLWP)
-		lwpWidth := featureDim + deltaDim + hid + 1
-		lwpIn := ws.Get(n, bk*lwpWidth)
-		for i := 0; i < n; i++ {
-			row := lwpIn.Data[i*lwpIn.Cols : (i+1)*lwpIn.Cols]
-			for k := 0; k < bk; k++ {
-				o := k * lwpWidth
-				copy(row[o:o+featureDim], x.Data[i*x.Cols+k*featureDim:i*x.Cols+(k+1)*featureDim])
-				copy(row[o+featureDim:o+featureDim+deltaDim], delta.Data[i*delta.Cols+k*deltaDim:i*delta.Cols+(k+1)*deltaDim])
-				copy(row[o+featureDim+deltaDim:o+featureDim+deltaDim+hid], prevH.Data[i*prevH.Cols+k*hid:i*prevH.Cols+(k+1)*hid])
-				row[o+lwpWidth-1] = prevR.Data[i*bk+k]
-			}
-		}
-		z1 := ws.Get(n, bk*hid)
-		convWide32(z1, lwpIn, adjs, b.w32.lwp1M1, b.w32.lwp1M2, actReLU, lbl, prof.PhaseLWP)
-		z2 := ws.Get(n, bk*hid)
-		convWide32(z2, z1, adjs, b.w32.lwp2M1, b.w32.lwp2M2, actReLU, lbl, prof.PhaseLWP)
-		sigma := ws.Get(n, bk)
-		convWide32(sigma, z2, adjs, b.w32.lwp3M1, b.w32.lwp3M2, actSigmoid, lbl, prof.PhaseLWP)
-		for i, mv := range mask.Data {
-			s := sigma.Data[i]
-			r.Data[i] = mv * ((1-s)*rt.Data[i] + s*prevR.Data[i])
-		}
-		ws.Put(lwpIn)
-		ws.Put(z1)
-		ws.Put(z2)
-		ws.Put(sigma)
-		spLWP.End()
-	}
-
-	spDecode := obs.BeginChild("decode", b.curSpan)
-	lbl.Set(prof.PhaseDecode)
-	out := make([][]bool, bk)
-	col := tensor.Scratch().Get(n, 1)
-	for k, target := range targets {
-		st := b.state(target)
-		st.prevFrame = frames[k]
-		for w := 0; w < n; w++ {
-			st.prevR32[w] = r.Data[w*bk+k]
-			col.Data[w] = float64(r.Data[w*bk+k])
-			copy(st.prevH32[w*hid:(w+1)*hid], h.Data[w*h.Cols+k*hid:w*h.Cols+(k+1)*hid])
-		}
-		out[k] = b.decode(col, frames[k], target)
-	}
-	tensor.Scratch().Put(col)
-	spDecode.End()
-
-	ws.Put(x)
-	ws.Put(mask)
-	ws.Put(prevR)
-	if useLWP {
-		ws.Put(delta)
-		ws.Put(prevH)
-	}
-	ws.Put(h)
-	ws.Put(rt)
-	ws.Put(r)
-	_ = t
-	return out
-}
-
-// convWide32 mirrors convWide in float32, with one extra liberty the
-// tolerance contract allows: when the convolution narrows (dout < din) the
-// aggregated term is computed as A·(in·M2) instead of (A·in)·M2 — the same
-// value under exact arithmetic, but the sparse gather then runs at the
-// output width (1 or 8 columns instead of 8 or 16), roughly halving the
-// model's total SpMM traffic. Float64 never reassociates: its accumulation
-// order is contractual.
-func convWide32(dst, in *tensor.Matrix32, adjs []*tensor.CSR, m1, m2 *tensor.Matrix32, act int, lbl *prof.Labels, ret prof.Phase) {
-	ws := tensor.Scratch32()
-	k := len(adjs)
-	din, dout := m2.Rows, m2.Cols
-	tensor.MatMulBlocksInto32(dst, in, m1, k)
-	var agg *tensor.Matrix32
-	if dout < din {
-		hm := ws.Get(in.Rows, k*dout)
-		tensor.MatMulBlocksInto32(hm, in, m2, k)
-		agg = ws.Get(dst.Rows, dst.Cols)
-		lbl.Set(prof.PhaseSpMM)
-		tensor.SpMMBatchInto32(agg, adjs, hm)
-		lbl.Set(ret)
-		ws.Put(hm)
-	} else {
-		msg := ws.Get(in.Rows, in.Cols)
-		lbl.Set(prof.PhaseSpMM)
-		tensor.SpMMBatchInto32(msg, adjs, in)
-		lbl.Set(ret)
-		agg = ws.Get(dst.Rows, dst.Cols)
-		tensor.MatMulBlocksInto32(agg, msg, m2, k)
-		ws.Put(msg)
-	}
-	switch act {
-	case actReLU:
-		tensor.AddReLUInto32(dst.Data, agg.Data)
-	case actSigmoid:
-		for i, v := range agg.Data {
-			dst.Data[i] = fastSigmoid32(dst.Data[i] + v)
-		}
-	}
-	ws.Put(agg)
-}
-
-// fastSigmoid32 evaluates 1/(1+e^{−z}) with a range-reduced degree-5
-// polynomial exponential instead of math.Exp. The polynomial's relative
-// error (≤ ~3e-6 over the reduced range |r| ≤ ln2/2) lands the sigmoid
-// within ~1e-6 of the math.Exp value — far inside the float32 path's 1e-3
-// probability tolerance — while skipping math.Exp's call and
-// high-precision reconstruction. Only the float32 path uses it: the float64
-// sigmoid stays on math.Exp, whose bits are contractual.
-func fastSigmoid32(z float32) float32 {
-	x := -float64(z)
-	// e^{±45} saturates the sigmoid past any float32 distinction.
-	if x > 45 {
-		return 0
-	}
-	if x < -45 {
-		return 1
-	}
-	k := math.Floor(x*1.4426950408889634 + 0.5) // round(x/ln2)
-	r := x - k*0.6931471805599453
-	p := 1 + r*(1+r*(0.5+r*(1.0/6+r*(1.0/24+r*(1.0/120)))))
-	e := p * math.Float64frombits(uint64(int64(k)+1023)<<52)
-	return float32(1 / (1 + e))
-}
-
-// fillColumns32 mirrors fillColumns: features are computed in float64
-// exactly as MIA does and rounded once on store.
-func (b *BatchSession) fillColumns32(k, bk int, frame *occlusion.StaticGraph, st *batchState, x, mask, prevR, delta, prevH *tensor.Matrix32) {
-	room, mia := b.room, &b.model.mia
-	n := room.N
-	target := frame.Target
-	roomDiag := math.Sqrt2 * 10
-	targetMR := mia.Enabled && room.Interfaces[target] == occlusion.MR
-	hid := b.model.cfg.Hidden
-	for w := 0; w < n; w++ {
-		xo := w*x.Cols + k*featureDim
+	rendered := make([]bool, r.Rows)
+	admitted := 0
+	for w := 0; w < r.Rows; w++ {
 		if w == target {
-			x.Data[xo], x.Data[xo+1], x.Data[xo+2], x.Data[xo+3] = 0, 0, 0, 0
-			mask.Data[w*bk+k] = 0
-		} else {
-			p := room.Pref(target, w)
-			s := room.Social(target, w)
-			x.Data[xo] = float32(p)
-			x.Data[xo+1] = float32(s)
-			x.Data[xo+2] = float32(math.Min(1, frame.Dist[w]/roomDiag))
-			x.Data[xo+3] = float32(b.iface[w])
-			mk := float32(1)
-			if targetMR {
-				for _, u := range frame.Neighbors(w) {
-					if int(u) != target && room.Interfaces[u] == occlusion.MR {
-						mk = 0
-						break
-					}
-				}
-			}
-			if mia.Blocklist != nil && mia.Blocklist[w] {
-				mk = 0
-			}
-			mask.Data[w*bk+k] = mk
+			continue
 		}
-		if st.prevR32 != nil {
-			prevR.Data[w*bk+k] = st.prevR32[w]
-		} else {
-			prevR.Data[w*bk+k] = 0
+		if cfg.MaxRender > 0 && admitted >= cfg.MaxRender {
+			break
+		}
+		if r.Data[w] >= cfg.Threshold {
+			rendered[w] = true
+			admitted++
 		}
 	}
-	if delta != nil {
-		b.fillDeltaColumn32(delta, k, bk, frame, st)
-	}
-	if prevH != nil {
-		for w := 0; w < n; w++ {
-			dst := prevH.Data[w*prevH.Cols+k*hid : w*prevH.Cols+(k+1)*hid]
-			if st.prevH32 != nil {
-				copy(dst, st.prevH32[w*hid:(w+1)*hid])
-			} else {
-				for j := range dst {
-					dst[j] = 0
-				}
-			}
-		}
-	}
+	return rendered
 }
 
-func (b *BatchSession) fillDeltaColumn32(delta *tensor.Matrix32, k, bk int, frame *occlusion.StaticGraph, st *batchState) {
-	n := frame.N
-	if !b.model.mia.Enabled {
-		for w := 0; w < n; w++ {
-			o := w*delta.Cols + k*deltaDim
-			delta.Data[o], delta.Data[o+1], delta.Data[o+2] = 0, 0, 0
-		}
-		return
-	}
-	deg, two, degPrev, twoPrev := b.deltaDegrees(st, frame)
-	scale := 1 / float64(n)
-	for w := 0; w < n; w++ {
-		o := w*delta.Cols + k*deltaDim
-		delta.Data[o] = 1
-		delta.Data[o+1] = float32((deg[w] - degPrev[w]) * scale)
-		delta.Data[o+2] = float32((two[w] - twoPrev[w]) * scale)
-	}
-}
-
-// targetView is a single-target sim.Stepper view over a BatchSession: every
-// Step is a one-column StepTargets call against the shared per-target state,
-// so fused batches and solo fallback steps see the same recurrent history.
-type targetView struct {
+// Session is one target's inference episode: a single-column view over a
+// BatchSession. Every Step is a one-target StepTargets call against the
+// session's per-target state, so a solo episode runs the fused engine, and
+// views of a shared BatchSession see the same recurrent history as its
+// fused batches.
+type Session struct {
 	b      *BatchSession
 	target int
 }
 
-// TargetStepper returns a single-target stepper view sharing this session's
-// state. It satisfies sim.Stepper structurally (core does not import sim).
-func (b *BatchSession) TargetStepper(target int) interface {
-	Step(t int, frame *occlusion.StaticGraph) []bool
-} {
-	return &targetView{b: b, target: target}
+// TargetStepper returns a single-target view sharing this session's state.
+// It satisfies sim.Stepper (core does not import sim).
+func (b *BatchSession) TargetStepper(target int) *Session {
+	if target < 0 || target >= b.room.N {
+		panic(fmt.Sprintf("core: target %d out of range", target))
+	}
+	return &Session{b: b, target: target}
 }
 
-// Step implements the sim.Stepper contract for one target.
-func (v *targetView) Step(t int, frame *occlusion.StaticGraph) []bool {
-	return v.b.StepTargets(t, []int{v.target}, []*occlusion.StaticGraph{frame})[0]
+// Step consumes the occlusion frame for time t and returns the rendered set
+// (rendered[w] = true ⇔ w ∈ F_t(v)). The session carries state across calls,
+// so callers must feed frames in temporal order.
+func (s *Session) Step(t int, frame *occlusion.StaticGraph) []bool {
+	return s.b.StepTargets(t, []int{s.target}, []*occlusion.StaticGraph{frame})[0]
 }
 
-// SetProfLabels forwards the profiling capability to the shared session so a
-// solo episode stepped through the view is attributed like a fused one.
-func (v *targetView) SetProfLabels(l *prof.Labels) { v.b.SetProfLabels(l) }
+// Probabilities returns the last step's recommendation vector r_t, useful
+// for diagnostics; nil before the first Step.
+func (s *Session) Probabilities() []float64 {
+	s.b.mu.Lock()
+	defer s.b.mu.Unlock()
+	return s.b.eng.probabilities(s.target)
+}
+
+// SetProfLabels attaches a (room, rec) pprof label set to subsequent steps
+// (prof.Carrier), forwarded to the underlying session so a solo episode is
+// attributed like a fused one. nil detaches.
+func (s *Session) SetProfLabels(l *prof.Labels) { s.b.SetProfLabels(l) }

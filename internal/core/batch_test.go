@@ -19,14 +19,14 @@ func batchDogs(room *dataset.Room, targets []int) []*occlusion.DOG {
 	return dogs
 }
 
-// runSequential steps one plain Session per target over its DOG and returns
-// rendered sets plus final probability vectors.
+// runSequential steps one autodiff oracle per target over its DOG and
+// returns rendered sets plus final probability vectors.
 func runSequential(m *POSHGNN, room *dataset.Room, targets []int, dogs []*occlusion.DOG) ([][][]bool, [][]float64) {
 	steps := len(dogs[0].Frames)
 	rendered := make([][][]bool, len(targets)) // [target][t]
 	probs := make([][]float64, len(targets))
 	for i, target := range targets {
-		sess := m.StartEpisode(room, target)
+		sess := newOracle(m, room, target)
 		rendered[i] = make([][]bool, steps)
 		for t := 0; t < steps; t++ {
 			rendered[i][t] = sess.Step(t, dogs[i].Frames[t])
@@ -57,15 +57,7 @@ func runBatched(m *POSHGNN, room *dataset.Room, targets []int, dogs []*occlusion
 	}
 	probs := make([][]float64, len(targets))
 	for i, target := range targets {
-		st := bs.states[target]
-		if opt.Float32 {
-			probs[i] = make([]float64, room.N)
-			for w, v := range st.prevR32 {
-				probs[i][w] = float64(v)
-			}
-		} else {
-			probs[i] = append([]float64(nil), st.prevR...)
-		}
+		probs[i] = bs.TargetStepper(target).Probabilities()
 	}
 	return rendered, probs
 }
@@ -87,7 +79,7 @@ func targetCounts(n int) [][]int {
 }
 
 // TestBatchStepMatchesSequential pins the float64 batched forward pass to
-// the sequential Session bit-identically: rendered sets equal at every step
+// the sequential autodiff oracle bit-identically: rendered sets equal at every step
 // and final probability vectors equal to the last bit, across rooms, model
 // ablations, and batch widths 1 / 2 / 16 / N.
 func TestBatchStepMatchesSequential(t *testing.T) {
@@ -212,10 +204,10 @@ func TestBatchMembershipChanges(t *testing.T) {
 	out = bs.StepTargets(3, []int{2}, []*occlusion.StaticGraph{dogA.Frames[3]})
 	push(2, out[0])
 
-	seqA := m.StartEpisode(room, 2)
+	seqA := newOracle(m, room, 2)
 	wantA := [][]bool{seqA.Step(0, dogA.Frames[0]), seqA.Step(1, dogA.Frames[1]),
 		seqA.Step(2, dogA.Frames[2]), seqA.Step(3, dogA.Frames[3])}
-	seqB := m.StartEpisode(room, 9)
+	seqB := newOracle(m, room, 9)
 	wantB := [][]bool{seqB.Step(0, dogB.Frames[0]), seqB.Step(2, dogB.Frames[2])}
 
 	for st := range wantA {
@@ -234,35 +226,13 @@ func TestBatchMembershipChanges(t *testing.T) {
 	}
 }
 
-// TestBatchDenseAdjFallback: the dense-adjacency compat toggle routes the
-// batch through per-target sequential sessions and stays output-identical.
-func TestBatchDenseAdjFallback(t *testing.T) {
-	room := testRoom(3)
-	m := New(Config{UseMIA: true, UseLWP: true, Seed: 9})
-	targets := []int{0, 2}
-	dogs := batchDogs(room, targets)
-	wantR, _ := runSequential(m, room, targets, dogs)
-	m.SetDenseAdjacency(true)
-	defer m.SetDenseAdjacency(false)
-	gotR, _ := runBatched(m, room, targets, dogs, BatchOptions{})
-	for i := range targets {
-		for st := range wantR[i] {
-			for w := range wantR[i][st] {
-				if wantR[i][st][w] != gotR[i][st][w] {
-					t.Fatalf("denseAdj batch: target %d step %d user %d differ", targets[i], st, w)
-				}
-			}
-		}
-	}
-}
-
 // TestBatchTargetStepperView: the single-target view stepper drives the
 // shared session state exactly like a direct StepTargets call.
 func TestBatchTargetStepperView(t *testing.T) {
 	room := testRoom(3)
 	m := New(Config{UseMIA: true, UseLWP: true, Seed: 10})
 	dog := occlusion.BuildDOG(1, room.Traj, room.AvatarRadius)
-	seq := m.StartEpisode(room, 1)
+	seq := newOracle(m, room, 1)
 	bs := m.StartBatchSession(room, BatchOptions{})
 	view := bs.TargetStepper(1)
 	for st := 0; st < len(dog.Frames); st++ {

@@ -47,11 +47,11 @@ func plainRoom(positions []geom.Vec2, steps int) *dataset.Room {
 	}
 }
 
-// runSessionProbs advances a fresh session over every frame of the room's
-// DOG and records the per-step probability vector r_t.
+// runSessionProbs advances a fresh autodiff oracle over every frame of the
+// room's DOG and records the per-step probability vector r_t.
 func runSessionProbs(m *POSHGNN, room *dataset.Room, target int) [][]float64 {
 	dog := occlusion.BuildDOG(target, room.Traj, room.AvatarRadius)
-	sess := m.StartEpisode(room, target)
+	sess := newOracle(m, room, target)
 	out := make([][]float64, 0, len(dog.Frames))
 	for ti, frame := range dog.Frames {
 		sess.Step(ti, frame)
@@ -85,7 +85,7 @@ func TestForwardSparseMatchesDense(t *testing.T) {
 			if err := sparse.Params().CopyTo(dense.Params()); err != nil {
 				t.Fatal(err)
 			}
-			dense.SetDenseAdjacency(true)
+			dense.denseAdj = true
 			sp := runSessionProbs(sparse, room, 0)
 			dp := runSessionProbs(dense, room, 0)
 			for ti := range sp {
@@ -113,7 +113,7 @@ func TestTrainSparseMatchesDense(t *testing.T) {
 	if err := sparse.Params().CopyTo(dense.Params()); err != nil {
 		t.Fatal(err)
 	}
-	dense.SetDenseAdjacency(true)
+	dense.denseAdj = true
 	ss, err := sparse.Train(eps)
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,10 @@ import (
 
 // BatchBench is one row of the batched-vs-sequential inference sweep: mean
 // per-target step latency on an N-user room serving K targets, through three
-// routes — K independent float64 Sessions (the pre-batching serve path), one
-// fused float64 BatchSession, and the fused float32 fast path. Speedups are
-// sequential ÷ fused, so they read "how much cheaper each target got".
+// routes — K solo float64 episodes (StartEpisode, each a one-column
+// BatchSession view, the path a request served alone takes), one fused
+// float64 BatchSession, and the fused float32 fast path. Speedups are
+// solo ÷ fused, so they read "how much cheaper each target got by fusing".
 type BatchBench struct {
 	N                  int     `json:"n"`
 	Targets            int     `json:"targets"`

@@ -1,6 +1,10 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -148,6 +152,33 @@ func TestTable2QuickShape(t *testing.T) {
 	if p >= 0.05 {
 		t.Errorf("POSHGNN vs strongest competitor p = %v, want < 0.05", p)
 	}
+	if got := table2Digest(tab); got != table2QuickDigest {
+		t.Errorf("quick Table II digest %s, want %s; table:\n%s", got, table2QuickDigest, tab.Format())
+	}
+}
+
+// table2QuickDigest pins every non-timing cell of the quick Table II bit for
+// bit: model selection, training and every recommender's evaluation feed
+// it, so any change to an inference engine that moves a single bit of a
+// probability that crosses a decision shows here. The value is pinned for
+// linux/amd64, where CI and the benchmark run; other platforms may fuse
+// multiply-adds in the autodiff training path and land on other bits.
+const table2QuickDigest = "3b39db16916b6048"
+
+// table2Digest hashes the method, the exact float64 bits of every metric
+// except StepTime (wall clock), the robustness counters, and the notes.
+func table2Digest(tab *Table) string {
+	h := sha256.New()
+	for _, r := range tab.Rows {
+		fmt.Fprintf(h, "%s|%+v|", r.Method, r.Robustness)
+		for _, v := range []float64{r.Utility, r.Preference, r.Social, r.OcclusionRate, r.RenderedMean, r.Churn} {
+			fmt.Fprintf(h, "%016x|", math.Float64bits(v))
+		}
+	}
+	for _, n := range tab.Notes {
+		fmt.Fprintf(h, "%s\n", n)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 var pValueNote = regexp.MustCompile(`^POSHGNN vs \S+ \(strongest competitor\): paired t-test over \d+ steps, p = (\S+)$`)

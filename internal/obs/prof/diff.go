@@ -9,7 +9,7 @@ import (
 // Perf-regression attribution: given two profile summaries (a baseline and a
 // current run), rank symbols by how much CPU they gained or lost. This is
 // what turns "step latency regressed 31%" from the bench gate into "the 27µs
-// went into core.convWide32" in the same CI log.
+// went into tensor.SpMMBatchInto" in the same CI log.
 
 // SymbolDelta is one function's CPU change between two summaries.
 type SymbolDelta struct {

@@ -50,13 +50,18 @@ const (
 	// PhaseBatch covers the fused multi-target batch step outside the four
 	// model phases (gather/scatter, partitioning, sigmoid decode prep).
 	PhaseBatch
-	// PhaseMIA is the motion-intention attention encoder.
+	// PhaseMIA is multi-modal information aggregation with
+	// hybrid-participation pruning: node features x̂_t, structural deltas
+	// Δ_t and the mask m_t.
 	PhaseMIA
-	// PhasePDR is the position-derived relation encoder.
+	// PhasePDR is the partial-view de-occlusion recommender, the 2-layer GNN
+	// producing r̃_t and h_t.
 	PhasePDR
-	// PhaseLWP is the latent walk propagation (graph message passing).
+	// PhaseLWP is learning which to preserve: the 3-layer GNN producing σ
+	// and the preservation gate.
 	PhaseLWP
-	// PhaseDecode is the edge decoder + sigmoid ranking.
+	// PhaseDecode is the greedy de-occlusion decode of r_t into the rendered
+	// set.
 	PhaseDecode
 	// PhaseSpMM is the sparse matrix-multiply kernel inside LWP/PDR.
 	PhaseSpMM

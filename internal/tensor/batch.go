@@ -7,7 +7,8 @@ import (
 )
 
 // Batched (multi-target) kernels: the wide-RHS variants of SpMMInto and
-// MatMulInto behind `core.BatchSession`. K targets of one room are stacked
+// MatMulInto behind `core.BatchSession`, written once for float64 and
+// float32. K targets of one room are stacked
 // target-major into a single N×(K·d) matrix — column block k holds target
 // k's d feature columns — so one kernel invocation carries the whole batch
 // and the weight matrix streams through the cache once instead of K times.
@@ -16,16 +17,26 @@ import (
 // the batched SpMM applies a distinct CSR to each column block; passing the
 // same *CSR for every block degenerates to the classic shared-graph wide-RHS
 // SpMM. Per column block the accumulation order is exactly SpMMInto's /
-// MatMulInto's, which is what makes the batched forward pass bit-identical
-// to the sequential one (pinned in internal/core's batch property tests).
+// MatMulInto's, which is what makes the float64 batched forward pass
+// bit-identical to the autodiff one (pinned in internal/core's batch
+// property tests).
+//
+// Precision only shows at the leaves: the typed AVX2 kernels (see
+// avx2Kernels) and the product roundings. Every multiply that feeds an add
+// is written T(a*b): the explicit conversion forbids the compiler from
+// fusing the pair into an FMA (which arm64, ppc64 and s390x do by default),
+// so the float64 instantiation keeps the scalar rounding sequence on every
+// platform.
 
 // SpMMBatchInto computes, for each block b, graphs[b]·x[:, b·d:(b+1)·d] into
 // the same column block of dst, where d = x.Cols/len(graphs). Every graph
 // must be square with x.Rows rows. dst is fully overwritten. Rows are
 // processed in contiguous blocks over the worker pool when the total
 // multiply-add work clears spmmParallelCutoff; each block owns disjoint dst
-// rows, so the result is bit-identical for every worker count.
-func SpMMBatchInto(dst *Matrix, graphs []*CSR, x *Matrix) {
+// rows, so the result is bit-identical for every worker count. The CSR
+// values stay float64 (adjacencies are implicit-ones patterns, so a float32
+// batch loses nothing on the graph side).
+func SpMMBatchInto[T Float](dst *Dense[T], graphs []*CSR, x *Dense[T]) {
 	nb := len(graphs)
 	if nb == 0 || x.Cols%nb != 0 {
 		panic(fmt.Sprintf("tensor: SpMMBatchInto %d blocks over %d columns", nb, x.Cols))
@@ -40,6 +51,10 @@ func SpMMBatchInto(dst *Matrix, graphs []*CSR, x *Matrix) {
 	}
 	if dst.Rows != x.Rows || dst.Cols != x.Cols {
 		panic(fmt.Sprintf("tensor: SpMMBatchInto dst %dx%d for %dx%d result", dst.Rows, dst.Cols, x.Rows, x.Cols))
+	}
+	var ones spmmOnesKernel[T]
+	if vk := avx2For[T](); vk != nil {
+		ones = vk.spmmOnes(d)
 	}
 	// Block-outer, row-inner: processing one graph's column block across all
 	// rows before moving to the next keeps that block's gathered x rows (a
@@ -59,34 +74,30 @@ func SpMMBatchInto(dst *Matrix, graphs []*CSR, x *Matrix) {
 				// with AVX2 the vector kernels take over — still one
 				// ascending-order accumulator chain per column, so still
 				// bit-identical (see batch_asm_amd64.go).
-				switch {
-				case useAVX2 && d == 4:
-					spmmCSROnes4F64AVX2(dst.Data[lo*x.Cols+off:], g.RowPtr[lo:hi+1], g.Col, x.Data, hi-lo, x.Cols, off)
-				case useAVX2 && d == 8:
-					spmmCSROnes8F64AVX2(dst.Data[lo*x.Cols+off:], g.RowPtr[lo:hi+1], g.Col, x.Data, hi-lo, x.Cols, off)
-				case useAVX2 && d == 16:
-					spmmCSROnes16F64AVX2(dst.Data[lo*x.Cols+off:], g.RowPtr[lo:hi+1], g.Col, x.Data, hi-lo, x.Cols, off)
-				case d == 4:
-					for i := lo; i < hi; i++ {
-						spmmRowOnes4(dst.Data[i*x.Cols+off:], g.Col[g.RowPtr[i]:g.RowPtr[i+1]], x.Data, x.Cols, off)
-					}
-				case d == 8:
-					for i := lo; i < hi; i++ {
-						spmmRowOnes8(dst.Data[i*x.Cols+off:], g.Col[g.RowPtr[i]:g.RowPtr[i+1]], x.Data, x.Cols, off)
-					}
-				case d == 16:
-					for i := lo; i < hi; i++ {
-						spmmRowOnes16(dst.Data[i*x.Cols+off:], g.Col[g.RowPtr[i]:g.RowPtr[i+1]], x.Data, x.Cols, off)
-					}
-				default:
-					for i := lo; i < hi; i++ {
-						ob := dst.Data[i*x.Cols+off:][:d]
-						for j := range ob {
-							ob[j] = 0
+				if ones != nil {
+					ones(dst.Data[lo*x.Cols+off:], g.RowPtr[lo:hi+1], g.Col, x.Data, hi-lo, x.Cols, off)
+					continue
+				}
+				for i := lo; i < hi; i++ {
+					ob, cols := dst.Data[i*x.Cols+off:], g.Col[g.RowPtr[i]:g.RowPtr[i+1]]
+					switch d {
+					case 1:
+						var acc T
+						for _, c := range cols {
+							acc += x.Data[int(c)*x.Cols+off]
 						}
-						for _, c := range g.Col[g.RowPtr[i]:g.RowPtr[i+1]] {
-							xb := x.Data[int(c)*x.Cols+off:][:d]
-							for j, xv := range xb {
+						ob[0] = acc
+					case 4:
+						spmmRowOnes4(ob, cols, x.Data, x.Cols, off)
+					case 8:
+						spmmRowOnes8(ob, cols, x.Data, x.Cols, off)
+					case 16:
+						spmmRowOnes16(ob, cols, x.Data, x.Cols, off)
+					default:
+						ob = ob[:d]
+						clear(ob)
+						for _, c := range cols {
+							for j, xv := range x.Data[int(c)*x.Cols+off:][:d] {
 								ob[j] += xv
 							}
 						}
@@ -96,11 +107,9 @@ func SpMMBatchInto(dst *Matrix, graphs []*CSR, x *Matrix) {
 			}
 			for i := lo; i < hi; i++ {
 				ob := dst.Data[i*x.Cols+off:][:d]
-				for j := range ob {
-					ob[j] = 0
-				}
+				clear(ob)
 				for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
-					v := g.at(k)
+					v := T(g.at(k))
 					if v == 0 {
 						continue
 					}
@@ -112,29 +121,31 @@ func SpMMBatchInto(dst *Matrix, graphs []*CSR, x *Matrix) {
 						continue
 					}
 					for j, xv := range xb {
-						ob[j] += v * xv
+						ob[j] += T(v * xv)
 					}
 				}
 			}
 		}
 	}
-	if workers := parallel.Limit(); workers > 1 && work >= spmmParallelCutoff && x.Rows > 1 {
-		if workers > x.Rows {
-			workers = x.Rows
-		}
-		chunk := (x.Rows + workers - 1) / workers
-		blocks := (x.Rows + chunk - 1) / chunk
-		parallel.ForEachN(blocks, workers, func(b int) {
-			lo := b * chunk
-			hi := lo + chunk
-			if hi > x.Rows {
-				hi = x.Rows
-			}
-			rowRange(lo, hi)
-		})
+	rowBlocks(x.Rows, work >= spmmParallelCutoff, rowRange)
+}
+
+// rowBlocks runs rowRange over [0, rows), split into one contiguous block
+// per worker when wide is set and the pool has more than one worker.
+func rowBlocks(rows int, wide bool, rowRange func(lo, hi int)) {
+	workers := parallel.Limit()
+	if !wide || workers <= 1 || rows <= 1 {
+		rowRange(0, rows)
 		return
 	}
-	rowRange(0, x.Rows)
+	if workers > rows {
+		workers = rows
+	}
+	chunk := (rows + workers - 1) / workers
+	blocks := (rows + chunk - 1) / chunk
+	parallel.ForEachN(blocks, workers, func(b int) {
+		rowRange(b*chunk, min(b*chunk+chunk, rows))
+	})
 }
 
 // matMulBlocksParallelCutoff is the multiply-add count above which
@@ -148,7 +159,7 @@ const matMulBlocksParallelCutoff = 1 << 18
 // rows×(K·dout) result into dst. Per block this replicates MatMulInto's ikj
 // loop order — including the mv==0 row skip — so each column block of the
 // result is bit-identical to MatMulInto on that block alone.
-func MatMulBlocksInto(dst, x, w *Matrix, blocks int) {
+func MatMulBlocksInto[T Float](dst, x, w *Dense[T], blocks int) {
 	din, dout := w.Rows, w.Cols
 	if blocks <= 0 || x.Cols != blocks*din {
 		panic(fmt.Sprintf("tensor: MatMulBlocksInto %d blocks of %d over %d columns", blocks, din, x.Cols))
@@ -156,14 +167,26 @@ func MatMulBlocksInto(dst, x, w *Matrix, blocks int) {
 	if dst.Rows != x.Rows || dst.Cols != blocks*dout {
 		panic(fmt.Sprintf("tensor: MatMulBlocksInto dst %dx%d for %dx%d result", dst.Rows, dst.Cols, x.Rows, blocks*dout))
 	}
+	// The float64 AVX2 dout=8 kernel multiplies and adds with the scalar
+	// path's per-column rounding and order (no FMA), so it stays
+	// bit-identical; the float64 dout=1 head keeps the scalar kernel — its
+	// single accumulator chain cannot vectorize without reassociating, and in
+	// float64 the order is contractual. The float32 kernels fuse (see
+	// avx2Kernels).
+	var vec matMulKernel[T]
+	if vk := avx2For[T](); vk != nil {
+		switch {
+		case dout == 8:
+			vec = vk.matMul8
+		case dout == 1 && din%8 == 0:
+			vec = vk.matMulHead
+		}
+	}
 	rowRange := func(lo, hi int) {
-		// The AVX2 dout=8 kernel multiplies and adds with the scalar path's
-		// per-column rounding and order (no FMA), so it stays bit-identical;
-		// the dout=1 head keeps the scalar kernel — its single accumulator
-		// chain cannot vectorize without reassociating, and in float64 the
-		// order is contractual.
-		if useAVX2 && dout == 8 && hi > lo {
-			matMulBlocksF64AVX2(dst.Data[lo*dst.Cols:], x.Data[lo*x.Cols:], w.Data, hi-lo, blocks, din, x.Cols, dst.Cols)
+		if vec != nil {
+			if hi > lo {
+				vec(dst.Data[lo*dst.Cols:], x.Data[lo*x.Cols:], w.Data, hi-lo, blocks, din, x.Cols, dst.Cols)
+			}
 			return
 		}
 		for i := lo; i < hi; i++ {
@@ -184,9 +207,7 @@ func MatMulBlocksInto(dst, x, w *Matrix, blocks int) {
 					outRow[b] = matMulRow1(xRow[b*din:(b+1)*din], w.Data)
 				}
 			default:
-				for j := range outRow {
-					outRow[j] = 0
-				}
+				clear(outRow)
 				for b := 0; b < blocks; b++ {
 					xb := xRow[b*din : (b+1)*din]
 					ob := outRow[b*dout : (b+1)*dout]
@@ -194,41 +215,23 @@ func MatMulBlocksInto(dst, x, w *Matrix, blocks int) {
 						if mv == 0 {
 							continue
 						}
-						wRow := w.Data[k*dout : (k+1)*dout]
-						for j, wv := range wRow {
-							ob[j] += mv * wv
+						for j, wv := range w.Data[k*dout : (k+1)*dout] {
+							ob[j] += T(mv * wv)
 						}
 					}
 				}
 			}
 		}
 	}
-	work := x.Rows * x.Cols * dout
-	if workers := parallel.Limit(); workers > 1 && work >= matMulBlocksParallelCutoff && x.Rows > 1 {
-		if workers > x.Rows {
-			workers = x.Rows
-		}
-		chunk := (x.Rows + workers - 1) / workers
-		nblk := (x.Rows + chunk - 1) / chunk
-		parallel.ForEachN(nblk, workers, func(b int) {
-			lo := b * chunk
-			hi := lo + chunk
-			if hi > x.Rows {
-				hi = x.Rows
-			}
-			rowRange(lo, hi)
-		})
-		return
-	}
-	rowRange(0, x.Rows)
+	rowBlocks(x.Rows, x.Rows*x.Cols*dout >= matMulBlocksParallelCutoff, rowRange)
 }
 
 // spmmRowOnes4/8/16 accumulate Σ_{c∈cols} x[c, off:off+d] into ob for an
 // implicit-ones CSR row, holding every partial sum in a register. stride is
 // x's row stride (total batch width). Neighbor order — and therefore
 // floating-point accumulation order — matches the generic loop exactly.
-func spmmRowOnes4(ob []float64, cols []int32, x []float64, stride, off int) {
-	var a0, a1, a2, a3 float64
+func spmmRowOnes4[T Float](ob []T, cols []int32, x []T, stride, off int) {
+	var a0, a1, a2, a3 T
 	for _, c := range cols {
 		xb := x[int(c)*stride+off:]
 		xb = xb[:4:4]
@@ -240,8 +243,8 @@ func spmmRowOnes4(ob []float64, cols []int32, x []float64, stride, off int) {
 	ob[0], ob[1], ob[2], ob[3] = a0, a1, a2, a3
 }
 
-func spmmRowOnes8(ob []float64, cols []int32, x []float64, stride, off int) {
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+func spmmRowOnes8[T Float](ob []T, cols []int32, x []T, stride, off int) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 T
 	for _, c := range cols {
 		xb := x[int(c)*stride+off:]
 		xb = xb[:8:8]
@@ -258,9 +261,9 @@ func spmmRowOnes8(ob []float64, cols []int32, x []float64, stride, off int) {
 	ob[4], ob[5], ob[6], ob[7] = a4, a5, a6, a7
 }
 
-func spmmRowOnes16(ob []float64, cols []int32, x []float64, stride, off int) {
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
-	var a8, a9, a10, a11, a12, a13, a14, a15 float64
+func spmmRowOnes16[T Float](ob []T, cols []int32, x []T, stride, off int) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 T
+	var a8, a9, a10, a11, a12, a13, a14, a15 T
 	for _, c := range cols {
 		xb := x[int(c)*stride+off:]
 		xb = xb[:16:16]
@@ -290,22 +293,22 @@ func spmmRowOnes16(ob []float64, cols []int32, x []float64, stride, off int) {
 // matMulRow8 computes ob = xb·w for one row block with dout=8, partial sums
 // in registers, k ascending with the mv==0 skip — bit-identical to the
 // generic path.
-func matMulRow8(ob []float64, xb []float64, w []float64) {
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+func matMulRow8[T Float](ob []T, xb []T, w []T) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 T
 	for k, mv := range xb {
 		if mv == 0 {
 			continue
 		}
 		wr := w[k*8:]
 		wr = wr[:8:8]
-		a0 += mv * wr[0]
-		a1 += mv * wr[1]
-		a2 += mv * wr[2]
-		a3 += mv * wr[3]
-		a4 += mv * wr[4]
-		a5 += mv * wr[5]
-		a6 += mv * wr[6]
-		a7 += mv * wr[7]
+		a0 += T(mv * wr[0])
+		a1 += T(mv * wr[1])
+		a2 += T(mv * wr[2])
+		a3 += T(mv * wr[3])
+		a4 += T(mv * wr[4])
+		a5 += T(mv * wr[5])
+		a6 += T(mv * wr[6])
+		a7 += T(mv * wr[7])
 	}
 	ob[0], ob[1], ob[2], ob[3] = a0, a1, a2, a3
 	ob[4], ob[5], ob[6], ob[7] = a4, a5, a6, a7
@@ -313,13 +316,13 @@ func matMulRow8(ob []float64, xb []float64, w []float64) {
 
 // matMulRow1 is the dout=1 head: a plain register dot product with the same
 // skip and order.
-func matMulRow1(xb []float64, w []float64) float64 {
-	var acc float64
+func matMulRow1[T Float](xb []T, w []T) T {
+	var acc T
 	for k, mv := range xb {
 		if mv == 0 {
 			continue
 		}
-		acc += mv * w[k]
+		acc += T(mv * w[k])
 	}
 	return acc
 }
@@ -328,12 +331,12 @@ func matMulRow1(xb []float64, w []float64) float64 {
 // over whole backing slices. The AVX2 path keeps the scalar branch's exact
 // semantics — negatives clamp to +0, while −0 and NaN sums pass through — so
 // it is bit-identical to the portable loop.
-func AddReLUInto(dst, a []float64) {
+func AddReLUInto[T Float](dst, a []T) {
 	if len(dst) != len(a) {
 		panic(fmt.Sprintf("tensor: AddReLUInto %d vs %d elements", len(dst), len(a)))
 	}
-	if useAVX2 {
-		addReLUInto64AVX2(dst, a)
+	if vk := avx2For[T](); vk != nil {
+		vk.addReLU(dst, a)
 		return
 	}
 	for i, v := range a {
@@ -343,4 +346,45 @@ func AddReLUInto(dst, a []float64) {
 		}
 		dst[i] = s
 	}
+}
+
+// spmmOnesKernel and matMulKernel are the signatures of the AVX2 leaves (see
+// batch_asm_amd64.go for their contracts).
+type (
+	spmmOnesKernel[T Float] func(dst []T, rowptr, cols []int32, x []T, rows, stride, off int)
+	matMulKernel[T Float]   func(dst, x, w []T, rows, blocks, din, xStride, dstStride int)
+)
+
+// avx2Kernels is one precision's set of AVX2 leaves. A nil entry has no
+// vector kernel, and the generic Go loop runs instead.
+type avx2Kernels[T Float] struct {
+	spmmOnes4, spmmOnes8, spmmOnes16 spmmOnesKernel[T]
+	matMul8                          matMulKernel[T]
+	matMulHead                       matMulKernel[T] // dout=1, din%8 == 0
+	addReLU                          func(dst, a []T)
+}
+
+// spmmOnes returns the implicit-ones SpMM kernel for column width d, or nil.
+func (k *avx2Kernels[T]) spmmOnes(d int) spmmOnesKernel[T] {
+	switch d {
+	case 4:
+		return k.spmmOnes4
+	case 8:
+		return k.spmmOnes8
+	case 16:
+		return k.spmmOnes16
+	}
+	return nil
+}
+
+// avx2For returns the AVX2 leaves for T, or nil when the CPU lacks AVX2 or
+// the platform has no vector kernels (avx2F64/avx2F32 are nil there).
+func avx2For[T Float]() *avx2Kernels[T] {
+	if !useAVX2 {
+		return nil
+	}
+	if k, ok := any(avx2F64).(*avx2Kernels[T]); ok {
+		return k
+	}
+	return any(avx2F32).(*avx2Kernels[T])
 }

@@ -1,8 +1,8 @@
 package tensor
 
-// AVX2 row kernels behind the useAVX2 dispatch in SpMMBatchInto{,32} and
-// MatMulBlocksInto{,32}, implemented in batch_amd64.s. Contracts mirror the
-// portable Go kernels they replace:
+// AVX2 row kernels behind the avx2For dispatch in SpMMBatchInto,
+// MatMulBlocksInto and AddReLUInto, implemented in batch_amd64.s. Contracts
+// mirror the portable Go kernels they replace:
 //
 //   - The float64 pair keeps multiplies and adds as separate, individually
 //     rounded instructions in the exact scalar order (k ascending / neighbor
@@ -16,6 +16,24 @@ package tensor
 //
 // All of them assume blocks ≥ 1 and din ≥ 1; matMulHeadF32AVX2 additionally
 // requires din%8 == 0 (checked at the dispatch site).
+
+var (
+	avx2F64 = &avx2Kernels[float64]{
+		spmmOnes4:  spmmCSROnes4F64AVX2,
+		spmmOnes8:  spmmCSROnes8F64AVX2,
+		spmmOnes16: spmmCSROnes16F64AVX2,
+		matMul8:    matMulBlocksF64AVX2,
+		addReLU:    addReLUInto64AVX2,
+	}
+	avx2F32 = &avx2Kernels[float32]{
+		spmmOnes4:  spmmCSROnes4F32AVX2,
+		spmmOnes8:  spmmCSROnes8F32AVX2,
+		spmmOnes16: spmmCSROnes16F32AVX2,
+		matMul8:    matMulBlocksF32AVX2,
+		matMulHead: matMulHeadF32AVX2,
+		addReLU:    addReLUInto32AVX2,
+	}
+)
 
 //go:noescape
 func matMulBlocksF64AVX2(dst, x, w []float64, rows, blocks, din, xStride, dstStride int)

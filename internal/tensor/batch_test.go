@@ -150,20 +150,17 @@ func TestFloat32KernelsNearFloat64(t *testing.T) {
 	}
 	x := randomDense(rng, n, k*d)
 	w := randomDense(rng, d, d)
-	x32 := &Matrix32{Rows: x.Rows, Cols: x.Cols, Data: make([]float32, len(x.Data))}
-	for i, v := range x.Data {
-		x32.Data[i] = float32(v)
-	}
-	w32 := ToMatrix32(w)
+	x32 := As[float32](x)
+	w32 := As[float32](w)
 
 	sp := NewMatrix(n, k*d)
 	SpMMBatchInto(sp, graphs, x)
-	sp32 := NewMatrix32(n, k*d)
-	SpMMBatchInto32(sp32, graphs, x32)
+	sp32 := NewDense[float32](n, k*d)
+	SpMMBatchInto(sp32, graphs, x32)
 	mm := NewMatrix(n, k*d)
 	MatMulBlocksInto(mm, x, w, k)
-	mm32 := NewMatrix32(n, k*d)
-	MatMulBlocksInto32(mm32, x32, w32, k)
+	mm32 := NewDense[float32](n, k*d)
+	MatMulBlocksInto(mm32, x32, w32, k)
 
 	check := func(name string, f64 []float64, f32 []float32) {
 		scale := 1.0

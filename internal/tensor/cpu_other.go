@@ -2,52 +2,11 @@
 
 package tensor
 
-// Non-amd64 builds always take the portable Go kernels. A var (not a const)
-// so the dispatch tests can flip it uniformly across architectures.
-var useAVX2 = false
-
-// Stubs keep the AVX2 call sites compiling; useAVX2 == false makes them
-// unreachable.
-func matMulBlocksF64AVX2(dst, x, w []float64, rows, blocks, din, xStride, dstStride int) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
-
-func matMulBlocksF32AVX2(dst, x, w []float32, rows, blocks, din, xStride, dstStride int) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
-
-func matMulHeadF32AVX2(dst, x, w []float32, rows, blocks, din, xStride, dstStride int) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
-
-func spmmCSROnes4F64AVX2(dst []float64, rowptr, cols []int32, x []float64, rows, stride, off int) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
-
-func spmmCSROnes8F64AVX2(dst []float64, rowptr, cols []int32, x []float64, rows, stride, off int) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
-
-func spmmCSROnes16F64AVX2(dst []float64, rowptr, cols []int32, x []float64, rows, stride, off int) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
-
-func spmmCSROnes4F32AVX2(dst []float32, rowptr, cols []int32, x []float32, rows, stride, off int) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
-
-func spmmCSROnes8F32AVX2(dst []float32, rowptr, cols []int32, x []float32, rows, stride, off int) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
-
-func spmmCSROnes16F32AVX2(dst []float32, rowptr, cols []int32, x []float32, rows, stride, off int) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
-
-func addReLUInto64AVX2(dst, a []float64) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
-
-func addReLUInto32AVX2(dst, a []float32) {
-	panic("tensor: AVX2 kernel on non-amd64")
-}
+// Non-amd64 builds have no vector kernels: the nil tables make avx2For
+// return nil, so the generic Go loops run. useAVX2 stays a var so the
+// dispatch tests can flip it uniformly across architectures.
+var (
+	useAVX2 = false
+	avx2F64 *avx2Kernels[float64]
+	avx2F32 *avx2Kernels[float32]
+)

@@ -1,6 +1,7 @@
 // Package tensor implements the numerical substrate of the POSHGNN
-// reproduction: dense row-major float64 matrices and a reverse-mode
-// automatic-differentiation engine over them.
+// reproduction: dense row-major matrices, a reverse-mode
+// automatic-differentiation engine over the float64 ones, and the batched
+// inference kernels, written once for float64 and float32.
 //
 // The networks in the paper are tiny (hidden dimension 8, two to three
 // layers, at most a few hundred nodes per room), so dense CPU matrices
@@ -13,19 +14,43 @@ import (
 	"math/rand"
 )
 
-// Matrix is a dense row-major matrix of float64 values.
-type Matrix struct {
+// Float is the element type of a Dense matrix: float64 for training and
+// exact inference, float32 for the serving fast path.
+type Float interface{ float32 | float64 }
+
+// Dense is a dense row-major matrix of T values.
+type Dense[T Float] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
 
-// NewMatrix allocates a zero rows×cols matrix. It panics on non-positive
+// Matrix is a dense row-major matrix of float64 values, the type of every
+// autodiff value and model weight.
+type Matrix = Dense[float64]
+
+// NewDense allocates a zero rows×cols matrix. It panics on non-positive
 // dimensions, which always indicates a programming error in this codebase.
-func NewMatrix(rows, cols int) *Matrix {
+func NewDense[T Float](rows, cols int) *Dense[T] {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("tensor: invalid matrix shape %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Dense[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
+}
+
+// NewMatrix allocates a zero rows×cols float64 matrix.
+func NewMatrix(rows, cols int) *Matrix { return NewDense[float64](rows, cols) }
+
+// As returns m at precision T: m itself for float64, otherwise a copy with
+// every element rounded once.
+func As[T Float](m *Matrix) *Dense[T] {
+	if d, ok := any(m).(*Dense[T]); ok {
+		return d
+	}
+	out := NewDense[T](m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = T(v)
+	}
+	return out
 }
 
 // FromSlice builds a rows×cols matrix backed by a copy of data, which must
@@ -81,29 +106,29 @@ func GlorotUniform(rng *rand.Rand, rows, cols int) *Matrix {
 }
 
 // At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *Dense[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
 // Set writes v at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *Dense[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
 // Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
+func (m *Dense[T]) Clone() *Dense[T] {
+	c := NewDense[T](m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
 // SameShape reports whether m and n have identical dimensions.
-func (m *Matrix) SameShape(n *Matrix) bool { return m.Rows == n.Rows && m.Cols == n.Cols }
+func (m *Dense[T]) SameShape(n *Dense[T]) bool { return m.Rows == n.Rows && m.Cols == n.Cols }
 
-func (m *Matrix) assertSameShape(n *Matrix, op string) {
+func (m *Dense[T]) assertSameShape(n *Dense[T], op string) {
 	if !m.SameShape(n) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, n.Rows, n.Cols))
 	}
 }
 
 // AddInPlace adds n to m element-wise.
-func (m *Matrix) AddInPlace(n *Matrix) {
+func (m *Dense[T]) AddInPlace(n *Dense[T]) {
 	m.assertSameShape(n, "AddInPlace")
 	for i, v := range n.Data {
 		m.Data[i] += v
@@ -111,18 +136,14 @@ func (m *Matrix) AddInPlace(n *Matrix) {
 }
 
 // ScaleInPlace multiplies every element of m by s.
-func (m *Matrix) ScaleInPlace(s float64) {
+func (m *Dense[T]) ScaleInPlace(s T) {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
 }
 
 // Zero resets every element of m to 0.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
+func (m *Dense[T]) Zero() { clear(m.Data) }
 
 // MatMul returns m·n. Dimensions must agree (m.Cols == n.Rows).
 func MatMul(m, n *Matrix) *Matrix {
@@ -151,21 +172,21 @@ func MatMulInto(dst, m, n *Matrix) {
 			}
 			nRow := n.Data[k*n.Cols : (k+1)*n.Cols]
 			for j, nv := range nRow {
-				outRow[j] += mv * nv
+				outRow[j] += float64(mv * nv) // unfused, like MatMulBlocksInto
 			}
 		}
 	}
 }
 
 // Transposed returns a new matrix that is the transpose of m.
-func (m *Matrix) Transposed() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
+func (m *Dense[T]) Transposed() *Dense[T] {
+	t := NewDense[T](m.Cols, m.Rows)
 	m.TransposedInto(t)
 	return t
 }
 
 // TransposedInto writes the transpose of m into dst (m.Cols×m.Rows).
-func (m *Matrix) TransposedInto(dst *Matrix) {
+func (m *Dense[T]) TransposedInto(dst *Dense[T]) {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {
 		panic(fmt.Sprintf("tensor: TransposedInto dst %dx%d for %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
 	}
@@ -205,8 +226,8 @@ func HadamardMat(m, n *Matrix) *Matrix {
 }
 
 // Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	s := 0.0
+func (m *Dense[T]) Sum() T {
+	var s T
 	for _, v := range m.Data {
 		s += v
 	}
@@ -215,10 +236,10 @@ func (m *Matrix) Sum() float64 {
 
 // MaxAbs returns the largest absolute element value, used for gradient
 // clipping and NaN guards.
-func (m *Matrix) MaxAbs() float64 {
-	mx := 0.0
+func (m *Dense[T]) MaxAbs() T {
+	var mx T
 	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
+		if a := T(math.Abs(float64(v))); a > mx {
 			mx = a
 		}
 	}
@@ -226,9 +247,9 @@ func (m *Matrix) MaxAbs() float64 {
 }
 
 // HasNaN reports whether any element is NaN or infinite.
-func (m *Matrix) HasNaN() bool {
+func (m *Dense[T]) HasNaN() bool {
 	for _, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
 			return true
 		}
 	}
@@ -236,8 +257,8 @@ func (m *Matrix) HasNaN() bool {
 }
 
 // Col returns a copy of column j as a plain slice.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
+func (m *Dense[T]) Col(j int) []T {
+	out := make([]T, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		out[i] = m.Data[i*m.Cols+j]
 	}
@@ -245,8 +266,8 @@ func (m *Matrix) Col(j int) []float64 {
 }
 
 // Row returns a copy of row i as a plain slice.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
+func (m *Dense[T]) Row(i int) []T {
+	out := make([]T, m.Cols)
 	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
 	return out
 }
@@ -277,7 +298,7 @@ func ConcatCols(ms ...*Matrix) *Matrix {
 }
 
 // String renders small matrices for debugging.
-func (m *Matrix) String() string {
+func (m *Dense[T]) String() string {
 	if m.Rows*m.Cols > 64 {
 		return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 	}

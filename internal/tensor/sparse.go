@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"sync"
-
-	"after/internal/parallel"
 )
 
 // CSR is a compressed-sparse-row matrix: the sparse counterpart of Matrix
@@ -204,9 +202,7 @@ func SpMMInto(dst *Matrix, a *CSR, x *Matrix) {
 	rowRange := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			outRow := dst.Data[i*d : (i+1)*d]
-			for j := range outRow {
-				outRow[j] = 0
-			}
+			clear(outRow)
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 				v := a.at(k)
 				if v == 0 {
@@ -220,29 +216,12 @@ func SpMMInto(dst *Matrix, a *CSR, x *Matrix) {
 					continue
 				}
 				for j, xv := range xRow {
-					outRow[j] += v * xv
+					outRow[j] += float64(v * xv) // unfused, like SpMMBatchInto
 				}
 			}
 		}
 	}
-	work := a.NNZ() * d
-	if workers := parallel.Limit(); workers > 1 && work >= spmmParallelCutoff && a.Rows > 1 {
-		if workers > a.Rows {
-			workers = a.Rows
-		}
-		chunk := (a.Rows + workers - 1) / workers
-		blocks := (a.Rows + chunk - 1) / chunk
-		parallel.ForEachN(blocks, workers, func(b int) {
-			lo := b * chunk
-			hi := lo + chunk
-			if hi > a.Rows {
-				hi = a.Rows
-			}
-			rowRange(lo, hi)
-		})
-		return
-	}
-	rowRange(0, a.Rows)
+	rowBlocks(a.Rows, a.NNZ()*d >= spmmParallelCutoff, rowRange)
 }
 
 // SpMMT returns the autodiff node for a·x with a constant sparse a: the
